@@ -29,7 +29,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -44,7 +43,7 @@ func main() {
 		cache      = flag.Int("cache", serve.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
 		shards     = flag.Int("shards", 0, "result-cache shard count (0 = default 16)")
 		workers    = flag.Int("workers", 0, "engine-pool width per evaluation batch: 1 = serial, 0 = GOMAXPROCS")
-		parEval    = flag.Int("parallel-eval", -1, "deterministic intra-query parallel width: -1 disables (the historical serial tier), 0 = auto (GOMAXPROCS, logged at boot), N >= 1 explicit")
+		parEval    = flag.Int("parallel-eval", 1, "evaluation width: wireless-bb spider-oracle scans and replica slots (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
 		maxbatch   = flag.Int("maxbatch", 0, "max queries per admission batch (0 = default 64)")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 		logFormat  = flag.String("log", "text", "log format: text or json")
@@ -81,25 +80,20 @@ func main() {
 		}()
 	}
 
-	// Resolve the parallel-eval width before any network is registered:
-	// the registry builds each network's evaluators with the tier chosen
-	// here, and the resolved value is what every byte served depends on —
-	// log it so a deployment's tier is always reconstructible from boot
-	// logs (the parallel tier is width-invariant, so the exact width
-	// never changes a byte, but serial vs parallel does).
-	parallelEval := *parEval
+	// Resolve the width before any network is registered: the registry
+	// builds each network's evaluators with it. It never changes a byte
+	// served, only latency, but a deployment's width should still be
+	// reconstructible from its boot log.
+	width, auto := cliutil.Width("-parallel-eval", *parEval)
 	switch {
-	case parallelEval == 0:
-		parallelEval = runtime.GOMAXPROCS(0)
-		logger.Info("parallel evaluation enabled", "width", parallelEval, "resolved", "auto (GOMAXPROCS)")
-	case parallelEval > 0:
-		logger.Info("parallel evaluation enabled", "width", parallelEval, "resolved", "explicit")
-	default:
-		parallelEval = 0 // serial tier
+	case auto:
+		logger.Info("parallel evaluation enabled", "width", width, "resolved", "auto (GOMAXPROCS)")
+	case width > 1:
+		logger.Info("parallel evaluation enabled", "width", width, "resolved", "explicit")
 	}
 
 	reg := serve.NewRegistry()
-	reg.SetParallel(parallelEval)
+	reg.SetParallel(width)
 	if *manifest != "" {
 		f, err := os.Open(*manifest)
 		if err != nil {
@@ -143,7 +137,6 @@ func main() {
 		CacheShards:   *shards,
 		Workers:       *workers,
 		MaxBatch:      *maxbatch,
-		ParallelEval:  parallelEval,
 		Logger:        logger,
 		SlowRequest:   slowThreshold,
 		SlowTraces:    ringSize,

@@ -273,14 +273,9 @@ func (d *churnDriver) expectedBytes(j int, ver uint64, mechName, key string, pro
 	}
 	ev := st.evs[ver]
 	if ev == nil {
-		// The verifier must evaluate on the same tier the daemon serves:
-		// width 1 stands in for the daemon's width because the parallel
-		// tier is width-invariant by construction (DESIGN.md §14).
-		var opts []query.Option
-		if d.cfg.parallelEval > 0 {
-			opts = append(opts, query.WithParallel(query.ParallelSpec{Workers: 1}))
-		}
-		ev = query.NewEvaluator(replica, opts...)
+		// A width-1 evaluator verifies a daemon at any width: the bytes
+		// are width-invariant by construction (DESIGN.md §14).
+		ev = query.NewEvaluator(replica)
 		st.evs[ver] = ev
 	}
 	m, err := ev.Mechanism(mechName)

@@ -68,7 +68,7 @@ func main() {
 			"comma-separated mechanism names to spread queries over (default: every general-domain mechanism)")
 		queries  = flag.Int("queries", 4000, "total queries to issue")
 		parallel = flag.Int("parallel", 8, "concurrent client workers")
-		parEval  = flag.Int("parallel-eval", 0, "drive the daemon's deterministic parallel evaluation tier at this width (0 = serial tier): the in-process server boots with it, and -churn cold verifiers evaluate on the parallel tier at width 1 (bitwise identical to any width); against -addr it must match the daemon's -parallel-eval")
+		parEval  = flag.Int("parallel-eval", 1, "evaluation width of the in-process server, as wmcsd -parallel-eval (0 = GOMAXPROCS, logged at boot); the bytes are the same at every width, so width-1 verifiers check any server")
 		hot      = flag.Int("hot", 32, "hot-set pool size per network (hotset/mixed workloads)")
 		zipfS    = flag.Float64("zipf", 1.2, "Zipf exponent over the hot pool (> 1)")
 		umax     = flag.Float64("umax", 50, "utilities drawn uniformly from [0, umax)")
@@ -114,6 +114,7 @@ func main() {
 	if *umax <= 0 {
 		cliutil.Die("-umax must be > 0 (got %g)", *umax)
 	}
+	width, auto := cliutil.Width("-parallel-eval", *parEval)
 	if *churn {
 		if *updates < 1 || *updates >= *queries {
 			cliutil.Die("-updates must be in [1, queries) (got %d for %d queries)", *updates, *queries)
@@ -150,7 +151,10 @@ func main() {
 		}
 	}
 
-	baseURL, shutdown, err := connectOrBoot(*addr, specs, *parEval)
+	if auto && *addr == "" {
+		fmt.Fprintf(os.Stderr, "wmcsload: in-process server at evaluation width %d (auto: GOMAXPROCS)\n", width)
+	}
+	baseURL, shutdown, err := connectOrBoot(*addr, specs, width)
 	if err != nil {
 		cliutil.Die("%v", err)
 	}
@@ -207,17 +211,16 @@ func main() {
 	}
 
 	cfg := loadConfig{
-		baseURL:      baseURL,
-		specs:        specs,
-		nets:         nets,
-		workload:     wl,
-		mechs:        mechs,
-		mechsFor:     mechsFor,
-		queries:      *queries,
-		parallel:     *parallel,
-		parallelEval: *parEval,
-		seed:         *seed,
-		verify:       !*noVerify,
+		baseURL:  baseURL,
+		specs:    specs,
+		nets:     nets,
+		workload: wl,
+		mechs:    mechs,
+		mechsFor: mechsFor,
+		queries:  *queries,
+		parallel: *parallel,
+		seed:     *seed,
+		verify:   !*noVerify,
 		opts: instances.WorkloadOptions{
 			HotSets: *hot,
 			ZipfS:   *zipfS,
@@ -273,7 +276,7 @@ func main() {
 // connectOrBoot returns the base URL of the target daemon, booting an
 // in-process server on a loopback port when addr is empty so the driver
 // exercises the identical HTTP path either way.
-func connectOrBoot(addr string, specs []instances.Spec, parallelEval int) (string, func(), error) {
+func connectOrBoot(addr string, specs []instances.Spec, width int) (string, func(), error) {
 	if addr != "" {
 		if !strings.Contains(addr, "://") {
 			if strings.HasPrefix(addr, ":") {
@@ -284,13 +287,13 @@ func connectOrBoot(addr string, specs []instances.Spec, parallelEval int) (strin
 		return strings.TrimSuffix(addr, "/"), func() {}, nil
 	}
 	reg := serve.NewRegistry()
-	reg.SetParallel(parallelEval)
+	reg.SetParallel(width)
 	for _, sp := range specs {
 		if err := reg.RegisterSpec(sp); err != nil {
 			return "", nil, err
 		}
 	}
-	srv := serve.NewServer(reg, serve.Options{ParallelEval: parallelEval})
+	srv := serve.NewServer(reg, serve.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
@@ -396,13 +399,9 @@ type loadConfig struct {
 	mechsFor [][]string
 	queries  int
 	parallel int
-	// parallelEval > 0 means the daemon serves the parallel evaluation
-	// tier; churn verifiers must then evaluate on the same tier (at
-	// width 1 — the tier is width-invariant, so 1 stands in for any N).
-	parallelEval int
-	seed         int64
-	verify       bool
-	opts         instances.WorkloadOptions
+	seed     int64
+	verify   bool
+	opts     instances.WorkloadOptions
 	// churn, when non-nil, switches verification to the churn driver's
 	// generation-pinned cold comparison and paces its updater.
 	churn *churnDriver

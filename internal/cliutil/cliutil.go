@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 )
 
@@ -47,6 +48,20 @@ func OneOf(flagName, val string, valid []string) string {
 	}
 	Die("unknown %s %q (have %s)", flagName, val, strings.Join(valid, ", "))
 	return "" // unreachable
+}
+
+// Width resolves a width flag: 0 selects GOMAXPROCS (auto reports that,
+// so the caller can log the resolved width at boot), N >= 1 is taken as
+// given, and any other value dies with the usage pointer.
+func Width(flagName string, v int) (width int, auto bool) {
+	switch {
+	case v == 0:
+		return runtime.GOMAXPROCS(0), true
+	case v >= 1:
+		return v, false
+	}
+	Die("%s must be 0 (GOMAXPROCS) or >= 1 (got %d)", flagName, v)
+	return 0, false // unreachable
 }
 
 // SplitList splits a comma-separated flag value, trimming blanks and

@@ -9,25 +9,21 @@ import (
 	"wmcs/internal/stats"
 )
 
-// E16 and E16b time the exact-Shapley tentpole (DESIGN.md §14): the
-// blocked flat-table enumeration of Shapley.SharesParallel against the
-// historical map-memoized Shapley.Shares on the identical instance. The
-// pair follows the E15/E15b convention — the measured signal is benchtab
-// -timings wall_ms, gated in CI as E16 <= 0.4 * E16b. On a single-core
-// runner the gap is the algorithmic one (a flat 2^k cost table and
-// per-block partial sums instead of ~2^k·k memo-map probes); on a
-// multi-core runner the same blocked reduction additionally spreads its
-// blocks across the pool, with bytes unchanged at any width.
+// E16 times the exact Shapley method (DESIGN.md §14): the blocked
+// flat-table enumeration of Shapley.SharesParallel at k = 18 on the
+// experiment pool. The measured signal is benchtab -timings wall_ms; on
+// a multi-core runner the blocks spread across the pool, with bytes
+// unchanged at any width.
 
 // e16K is the enumeration size: 2^18 subsets, the "k ≥ 18 receivers"
 // point the exact tier is specified to handle.
 const e16K = 18
 
-// e16Cost builds the shared oracle: k agents each covering a fixed
+// e16Cost builds the oracle: k agents each covering a fixed
 // random subset of m weighted ground elements, C(R) = total weight
 // covered. Monotone and submodular (coverage), and cheap — a few OR and
 // bit-walk ops — so the 2^k enumeration machinery, not the oracle,
-// dominates what the pair times.
+// dominates what E16 times.
 func e16Cost(k int) (agents []int, cost sharing.CostFunc) {
 	const m = 48
 	rng := setupRNG(161, 0)
@@ -65,22 +61,11 @@ func e16Cost(k int) (agents []int, cost sharing.CostFunc) {
 // E16ParallelShapley runs the blocked flat-table exact enumeration on
 // the experiment pool.
 func E16ParallelShapley(cfg Config) *stats.Table {
-	return e16Run(cfg, true,
-		"E16 — exact Shapley, blocked flat-table tier (SharesParallel)")
-}
-
-// E16bSerialShapley is the control: the historical memo-map enumeration
-// on the identical instance. Its shares must agree with E16's to
-// float-sum reassociation tolerance (the tiers fold marginals in
-// different orders; exact equality is a per-tier property, pinned by the
-// width-invariance sweep, not a cross-tier one).
-func E16bSerialShapley(cfg Config) *stats.Table {
-	return e16Run(cfg, false,
-		"E16b — exact Shapley, memo-map baseline (control for E16)")
-}
-
-func e16Run(cfg Config, parallel bool, title string) *stats.Table {
-	t := stats.NewTable(title,
+	// The title and notes keep their rendered bytes so suite outputs stay
+	// comparable across commits; the E16b they name is the control the
+	// committed BENCH_pr7 → BENCH_pr8 gate (E16 <= 0.4 * E16b) still
+	// reads.
+	t := stats.NewTable("E16 — exact Shapley, blocked flat-table tier (SharesParallel)",
 		"k", "trials", "C(R)", "sum shares", "balance resid", "max share", "min share")
 	k := e16K
 	if cfg.Quick {
@@ -92,14 +77,9 @@ func e16Run(cfg Config, parallel bool, title string) *stats.Table {
 	var shares map[int]float64
 	for trial := 0; trial < trials; trial++ {
 		// A fresh method per trial: the memo cache must start cold each
-		// time or later trials would time map hits instead of the
+		// time or later trials would time memo hits instead of the
 		// enumeration.
-		s := sharing.NewShapley(agents, cost)
-		if parallel {
-			shares = s.SharesParallel(agents, cfg.Pool())
-		} else {
-			shares = s.Shares(agents)
-		}
+		shares = sharing.NewShapley(agents, cost).SharesParallel(agents, cfg.Pool())
 	}
 	grand := cost(agents)
 	var sum float64

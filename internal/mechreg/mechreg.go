@@ -28,7 +28,6 @@ import (
 	"wmcs/internal/mech"
 	"wmcs/internal/memtred"
 	"wmcs/internal/nwst"
-	"wmcs/internal/sharing"
 	"wmcs/internal/universal"
 	"wmcs/internal/wireless"
 )
@@ -178,14 +177,6 @@ type Descriptor struct {
 	// descriptor cannot advertise a tier its mechanism lacks (or hide
 	// one it has).
 	Approx bool
-	// Parallel declares that the mechanism has a parallel evaluation
-	// tier (DESIGN.md §14): when the BuildContext carries an engine
-	// pool, some part of its evaluation — the spider-oracle center
-	// scans, the sampled tier's permutation streams — runs at the
-	// pool's width with width-invariant bytes. Mechanisms without the
-	// flag ignore the pool entirely (closed-form evaluations have
-	// nothing to partition). Advertised per network in /v1/mechanisms.
-	Parallel bool
 	// Guarantees is the declared theorem statement.
 	Guarantees Guarantees
 	// Supports reports whether the mechanism's domain admits nw: nil
@@ -221,14 +212,13 @@ type BuildContext struct {
 	// Net is the network every substrate hangs off.
 	Net *wireless.Network
 	// Oracle is the NWST spider oracle for the general wireless
-	// mechanism; nil selects nwst.BranchSpiderOracle (the paper's
-	// 1.5·ln k choice) — or its parallel tier when Pool is set.
+	// mechanism; nil selects the branch-spider oracle (the paper's
+	// 1.5·ln k choice) scanning on Pool. An explicit Oracle runs as
+	// given.
 	Oracle nwst.Oracle
-	// Pool, when non-nil, opts mechanisms with a parallel tier
-	// (Descriptor.Parallel) into it at this width: the default spider
-	// oracle becomes nwst.ParallelBranchSpiderOracle(Pool) and the
-	// sampled Shapley tier shards its permutation streams over the
-	// pool. An explicit Oracle always wins over the pool's default.
+	// Pool is the width the default spider oracle scans its center
+	// slices at (DESIGN.md §14); nil means width 1. The bytes are the
+	// same at every width.
 	Pool *engine.Pool
 
 	rd  *memtred.Reduction
@@ -274,16 +264,12 @@ func (c *BuildContext) SPT() *universal.Tree {
 }
 
 // oracle resolves the context's oracle selection: an explicit Oracle,
-// else the parallel default when a pool is configured, else the serial
-// default.
+// else the branch-spider oracle at the pool's width.
 func (c *BuildContext) oracle() nwst.Oracle {
 	if c.Oracle != nil {
 		return c.Oracle
 	}
-	if c.Pool != nil {
-		return nwst.ParallelBranchSpiderOracle(c.Pool)
-	}
-	return nwst.BranchSpiderOracle
+	return nwst.BranchSpiderOracleOn(c.Pool)
 }
 
 // named pins a built mechanism's reported name to its registry name, so
@@ -401,14 +387,6 @@ func (d Descriptor) build(ctx *BuildContext) (mech.Mechanism, error) {
 	m, err := d.Build(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if ctx.Pool != nil && d.Parallel {
-		// The Moulin–Shenker wrappers own the sampled tier; handing them
-		// the pool opts that tier into the stream-sharded estimator.
-		// (wireless-bb's parallelism flows through ctx.oracle instead.)
-		if mm, ok := m.(*sharing.MechanismFromMethod); ok {
-			mm.Pool = ctx.Pool
-		}
 	}
 	nm := named{name: d.Name, Mechanism: m}
 	if ar, ok := m.(mech.ApproxRunner); ok {

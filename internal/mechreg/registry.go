@@ -118,7 +118,6 @@ var registry = []Descriptor{
 		PaperRef: "§2.1",
 		Desc:     "Shapley value on a fixed universal broadcast tree (Moulin–Shenker)",
 		Approx:   true,
-		Parallel: true,
 		Guarantees: Guarantees{
 			BB:                BBSolution,
 			BetaLabel:         "1",
@@ -151,7 +150,6 @@ var registry = []Descriptor{
 		Domain:   "general symmetric",
 		PaperRef: "§2.2.3 (Thm 2.2/2.3)",
 		Desc:     "MEMT→NWST reduction with the spider-contraction mechanism",
-		Parallel: true,
 		Guarantees: Guarantees{
 			BB:                BBOptimum,
 			Beta:              func(_ *wireless.Network, k int) float64 { return wmech.BetaBound(k) },
@@ -175,7 +173,6 @@ var registry = []Descriptor{
 		PaperRef: "Thm 3.2 (α = 1)",
 		Desc:     "airport-game Shapley mechanism (closed form)",
 		Approx:   true,
-		Parallel: true,
 		Guarantees: Guarantees{
 			BB:                BBOptimum,
 			Beta:              betaOne,
@@ -213,7 +210,6 @@ var registry = []Descriptor{
 		PaperRef: "Thm 3.2 (d = 1)",
 		Desc:     "interval-game Shapley mechanism over exact interval optima",
 		Approx:   true,
-		Parallel: true,
 		Guarantees: Guarantees{
 			BB:                BBOptimum,
 			Beta:              betaOne,

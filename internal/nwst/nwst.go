@@ -69,10 +69,12 @@ type Oracle func(s *State, minCover int) (Spider, bool)
 // new terminal remembers the original terminals it contains
 // (the paper's N+_t).
 //
-// A State owns a private copy of the host graph plus the scratch buffers
-// of the spider oracles, so it can be Reset and reused across queries on
-// the same host instance without reallocating (see StatePool). A State is
-// not safe for concurrent use.
+// A State owns a private copy of the host graph plus the tables and
+// scratch lanes of the spider oracles (oracle.go), so it can be Reset and
+// reused across queries on the same host instance without reallocating
+// (see StatePool). A State is not safe for concurrent use; an oracle
+// call on a pool wider than 1 runs its own lanes concurrently, but only
+// inside the call.
 type State struct {
 	n0     int // number of original vertices
 	g      *graph.Graph
@@ -86,26 +88,26 @@ type State struct {
 	// terminals: cons[t] == consBase[t : t+1], so Reset re-points slices
 	// instead of reallocating them.
 	consBase []int
-	sc       scratch
-	ws       *Workspace
+	// sc is lane 0: the buffers of PathBetween, Shrink, winner assembly
+	// and every width-1 oracle scan.
+	sc scratch
+	ws *Workspace
+	oracleTables
 }
 
-// scratch holds the reusable buffers of NodeDist and the spider oracles.
-// Everything here is sized lazily to the current (contracted) graph and
-// carries no information across calls.
+// scratch is one lane of reusable buffers. Everything here is sized
+// lazily to the current (contracted) graph and carries no information
+// across uses, so which lane scans which slice never affects a byte.
 type scratch struct {
 	heap *graph.IndexHeap
 	done []bool
-	// single-source node-distance buffers (Klein–Ravi, PathBetween).
-	dist1 []float64
-	par1  []int
-	// all-pairs buffers (BranchSpiderOracle), one row per live center.
-	dists   [][]float64
-	parents [][]int
+	// single-source node-distance buffers (Klein–Ravi scans,
+	// PathBetween).
+	dist []float64
+	par  []int
 	// spider assembly.
 	inUnion  []bool
 	nodesBuf []int
-	termsBuf []int
 	pathBuf  []int
 	sortBuf  []int
 	// branch-oracle greedy.
@@ -118,6 +120,20 @@ type scratch struct {
 	inSpider []bool
 	seen     []bool
 	touched  []int
+}
+
+// roomFor is the capacity a per-vertex buffer is (re)allocated with for
+// an n-vertex graph: the headroom absorbs the vertices Shrink mints, so
+// a contraction run regrows its buffers rarely instead of once per step.
+func roomFor(n int) int { return n + n/8 + 8 }
+
+// fit returns buf resized to n entries, reallocating with roomFor(n)
+// capacity when it is too small.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, roomFor(n))
+	}
+	return buf[:n]
 }
 
 // NewState initializes the contraction state from an instance.
@@ -291,28 +307,22 @@ func (s *State) NodeDist(src int) (dist []float64, parent []int) {
 }
 
 // nodeDistInto is NodeDist writing into caller-provided slices of length
-// g.N(), reusing the state's heap and visited mask.
+// g.N(), reusing lane 0's heap and visited mask.
 func (s *State) nodeDistInto(src int, dist []float64, parent []int) {
-	s.nodeDistStop(src, dist, parent, -1)
+	s.dijkstra(&s.sc, src, dist, parent, -1)
 }
 
-// nodeDistStop is nodeDistInto with an optional early stop: stopTerms > 0
-// halts the search once that many live *paying* terminals have settled.
-// Every entry a caller may read is final by then — a settled vertex's
-// dist and the parents along its optimal path (all settled strictly
-// earlier) never change afterwards — so for callers that only consume
-// paying-terminal distances and their paths (the Klein–Ravi sweep) the
-// observable bytes match an exhaustive run; entries past the stop are
-// garbage and must not be read. stopTerms ≤ 0 runs to exhaustion.
-func (s *State) nodeDistStop(src int, dist []float64, parent []int, stopTerms int) {
-	s.nodeDistStopWith(s.sc.heap, &s.sc.done, src, dist, parent, stopTerms)
-}
-
-// nodeDistStopWith is nodeDistStop running on caller-provided heap and
-// visited scratch instead of the state's own, so the parallel oracles
-// (parallel.go) can run many sweeps over one read-only State at once.
-// The arithmetic is byte-for-byte that of the historical method.
-func (s *State) nodeDistStopWith(h *graph.IndexHeap, doneBuf *[]bool, src int, dist []float64, parent []int, stopTerms int) {
+// dijkstra is the node-weighted sweep behind NodeDist and the oracles,
+// running on one lane's heap and visited mask, so the oracle lanes can
+// sweep one read-only State at once. stopTerms > 0 halts the search once
+// that many live *paying* terminals have settled. Every entry a caller
+// may read is final by then — a settled vertex's dist and the parents
+// along its optimal path (all settled strictly earlier) never change
+// afterwards — so for callers that only consume paying-terminal
+// distances and their paths (the Klein–Ravi scan) the observable bytes
+// match an exhaustive run; entries past the stop are garbage and must
+// not be read. stopTerms ≤ 0 runs to exhaustion.
+func (s *State) dijkstra(sc *scratch, src int, dist []float64, parent []int, stopTerms int) {
 	n := s.g.N()
 	for i := 0; i < n; i++ {
 		dist[i] = math.Inf(1)
@@ -321,13 +331,14 @@ func (s *State) nodeDistStopWith(h *graph.IndexHeap, doneBuf *[]bool, src int, d
 	if !s.alive[src] {
 		return
 	}
-	h.Grow(n)
-	h.Reset()
-	if cap(*doneBuf) < n {
-		*doneBuf = make([]bool, n)
+	h := sc.heap
+	if h.Cap() < n {
+		h.Grow(roomFor(n))
 	}
-	done := (*doneBuf)[:n]
-	for i := 0; i < n; i++ {
+	h.Reset()
+	sc.done = fit(sc.done, n)
+	done := sc.done
+	for i := range done {
 		done[i] = false
 	}
 	dist[src] = 0
@@ -383,32 +394,9 @@ func (s *State) PathBetween(a, b int) ([]int, float64) {
 
 // distBufs returns the single-source distance scratch sized to n.
 func (sc *scratch) distBufs(n int) ([]float64, []int) {
-	if cap(sc.dist1) < n {
-		sc.dist1 = make([]float64, n)
-		sc.par1 = make([]int, n)
-	}
-	return sc.dist1[:n], sc.par1[:n]
-}
-
-// spiderBufs returns the spider-assembly scratch (membership mask plus
-// node/terminal accumulators) sized to n, cleared.
-func (sc *scratch) spiderBufs(n int) []bool {
-	if cap(sc.inUnion) < n {
-		sc.inUnion = make([]bool, n)
-	}
-	sc.inUnion = sc.inUnion[:n]
-	sc.nodesBuf = sc.nodesBuf[:0]
-	sc.termsBuf = sc.termsBuf[:0]
-	return sc.inUnion
-}
-
-// Clone returns a Spider owning independent Nodes/Terms slices. The
-// oracles assemble candidate spiders in scratch buffers and clone only
-// the running best, so the per-candidate work is allocation-free.
-func (sp Spider) Clone() Spider {
-	sp.Nodes = append([]int(nil), sp.Nodes...)
-	sp.Terms = append([]int(nil), sp.Terms...)
-	return sp
+	sc.dist = fit(sc.dist, n)
+	sc.par = fit(sc.par, n)
+	return sc.dist, sc.par
 }
 
 // appendPath walks parent pointers from v back to the source of a
@@ -422,330 +410,6 @@ func appendPath(parent []int, v int, buf []int) []int {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
 	return buf
-}
-
-// finishSpider computes cost/terms/ratio over the accumulated node union
-// (in insertion order, so float summation order matches the historical
-// fresh-allocation code) and sorts the scratch-backed slices.
-func (s *State) finishSpider(center int, nodes []int) Spider {
-	var cost float64
-	terms := s.sc.termsBuf[:0]
-	paying := 0
-	for _, v := range nodes {
-		cost += s.w[v]
-		if s.isTerm[v] {
-			terms = append(terms, v)
-			if !s.free[v] {
-				paying++
-			}
-		}
-	}
-	sort.Ints(nodes)
-	sort.Ints(terms)
-	s.sc.nodesBuf = nodes
-	s.sc.termsBuf = terms
-	ratio := math.Inf(1)
-	if paying > 0 {
-		ratio = cost / float64(paying)
-	}
-	return Spider{Center: center, Nodes: nodes, Terms: terms, Paying: paying, Cost: cost, Ratio: ratio}
-}
-
-// KleinRaviOracle finds a minimum-ratio spider in the style of Klein–Ravi
-// [33]: for every live center, take the minCover, minCover+1, … nearest
-// paying terminals by node-weighted distance and keep the prefix whose
-// exact union cost per covered paying terminal is smallest.
-func KleinRaviOracle(s *State, minCover int) (Spider, bool) {
-	best := Spider{Ratio: math.Inf(1)}
-	found := false
-	n := s.g.N()
-	paying := s.PayingTerminals()
-	if len(paying) == 0 {
-		return best, false
-	}
-	if minCover > len(paying) {
-		minCover = len(paying)
-	}
-	for v := 0; v < n; v++ {
-		if !s.alive[v] {
-			continue
-		}
-		dist, parent := s.sc.distBufs(n)
-		// Settle only as far as the last paying terminal: nothing past it
-		// is read (see nodeDistStop).
-		s.nodeDistStop(v, dist, parent, len(paying))
-		// Paying terminals sorted by distance from v. The comparator is a
-		// total order (ties broken by id), so the sorted sequence — and
-		// with it every downstream byte — does not depend on the sort
-		// algorithm. sort.Sort on the pointer sorter avoids the per-call
-		// closure and reflect.Swapper allocations of sort.Slice, the
-		// dominant allocation site of the whole oracle.
-		terms := append(s.sc.sortBuf[:0], paying...)
-		s.sc.sortBuf = terms
-		s.sc.sorter = termDistSorter{terms: terms, dist: dist}
-		sort.Sort(&s.sc.sorter)
-		if math.IsInf(dist[terms[minCover-1]], 1) {
-			continue
-		}
-		// Incremental prefix union: leg j extends the union of legs
-		// 1..j−1 in place instead of rebuilding it (the historical
-		// buildSpider-per-prefix was quadratic in the leg count). Nodes
-		// are appended in the same order the rebuild would produce —
-		// center first, then each leg's path nodes, skipping ones
-		// already present — and cost/terms accumulate at append time,
-		// which is the same strictly left-to-right float summation
-		// finishSpider performs, so every candidate's Cost, Ratio and
-		// Paying are bit-identical to the rebuilt spider's.
-		inUnion := s.sc.spiderBufs(n)
-		nodes := append(s.sc.nodesBuf, v)
-		inUnion[v] = true
-		unionTerms := s.sc.termsBuf[:0]
-		var cost float64
-		paying := 0
-		admit := func(x int) {
-			cost += s.w[x]
-			if s.isTerm[x] {
-				unionTerms = append(unionTerms, x)
-				if !s.free[x] {
-					paying++
-				}
-			}
-		}
-		admit(v)
-		for j := 1; j <= len(terms); j++ {
-			if math.IsInf(dist[terms[j-1]], 1) {
-				break
-			}
-			s.sc.pathBuf = appendPath(parent, terms[j-1], s.sc.pathBuf[:0])
-			for _, x := range s.sc.pathBuf {
-				if !inUnion[x] {
-					inUnion[x] = true
-					nodes = append(nodes, x)
-					admit(x)
-				}
-			}
-			if j < minCover {
-				continue
-			}
-			ratio := math.Inf(1)
-			if paying > 0 {
-				ratio = cost / float64(paying)
-			}
-			if paying >= minCover && ratio < best.Ratio-1e-15 {
-				bn := append([]int(nil), nodes...)
-				bt := append([]int(nil), unionTerms...)
-				sort.Ints(bn)
-				sort.Ints(bt)
-				best = Spider{Center: v, Nodes: bn, Terms: bt, Paying: paying, Cost: cost, Ratio: ratio}
-				found = true
-			}
-		}
-		for _, x := range nodes {
-			inUnion[x] = false
-		}
-		s.sc.nodesBuf = nodes
-		s.sc.termsBuf = unionTerms
-	}
-	return best, found
-}
-
-// allPairs returns the all-pairs distance scratch: n rows of length n,
-// grown lazily and reused across oracle calls.
-func (sc *scratch) allPairs(n int) ([][]float64, [][]int) {
-	for len(sc.dists) < n {
-		sc.dists = append(sc.dists, nil)
-		sc.parents = append(sc.parents, nil)
-	}
-	ds, ps := sc.dists[:n], sc.parents[:n]
-	for i := 0; i < n; i++ {
-		if cap(ds[i]) < n {
-			ds[i] = make([]float64, n)
-			ps[i] = make([]int, n)
-			sc.dists[i] = ds[i]
-			sc.parents[i] = ps[i]
-		}
-		ds[i] = ds[i][:n]
-		ps[i] = ps[i][:n]
-	}
-	return ds, ps
-}
-
-// BranchSpiderOracle extends KleinRaviOracle with Guha–Khuller style
-// branch legs: a leg may route to an intermediate hub and fork to two
-// terminals there, which is what improves the greedy from 2 ln k towards
-// 1.5 ln k. Per center it greedily combines single and forked legs by
-// cost per newly covered terminal, keeping the best exact-ratio prefix.
-func BranchSpiderOracle(s *State, minCover int) (Spider, bool) {
-	base, okBase := KleinRaviOracle(s, minCover)
-	n := s.g.N()
-	paying := s.PayingTerminals()
-	if len(paying) == 0 {
-		return base, okBase
-	}
-	if minCover > len(paying) {
-		minCover = len(paying)
-	}
-	// All-pairs node distances from every live vertex (hubs and centers).
-	dists, parents := s.sc.allPairs(n)
-	for v := 0; v < n; v++ {
-		if s.alive[v] {
-			s.nodeDistInto(v, dists[v], parents[v])
-		}
-	}
-	best := base
-	found := okBase
-	if cap(s.sc.covered) < n {
-		s.sc.covered = make([]bool, n)
-	}
-	covered := s.sc.covered[:n]
-	for v := 0; v < n; v++ {
-		if !s.alive[v] {
-			continue
-		}
-		items := s.sc.items[:0]
-		for _, t := range paying {
-			if !math.IsInf(dists[v][t], 1) {
-				items = append(items, legItem{cost: dists[v][t], hub: -1, t1: t, t2: -1})
-			}
-		}
-		for u := 0; u < n; u++ {
-			if !s.alive[u] || u == v || math.IsInf(dists[v][u], 1) {
-				continue
-			}
-			// Two nearest paying terminals from hub u.
-			t1, t2 := -1, -1
-			for _, t := range paying {
-				if math.IsInf(dists[u][t], 1) {
-					continue
-				}
-				if t1 < 0 || dists[u][t] < dists[u][t1] {
-					t1, t2 = t, t1
-				} else if t2 < 0 || dists[u][t] < dists[u][t2] {
-					t2 = t
-				}
-			}
-			if t1 < 0 || t2 < 0 {
-				continue
-			}
-			items = append(items, legItem{
-				cost: dists[v][u] + dists[u][t1] + dists[u][t2],
-				hub:  u,
-				t1:   t1,
-				t2:   t2,
-			})
-		}
-		s.sc.items = items
-		// Greedy by cost per newly covered terminal.
-		for _, t := range paying {
-			covered[t] = false
-		}
-		nCovered := 0
-		legEnds := s.sc.legEnds[:0]
-		hubLegs := s.sc.hubLegs[:0]
-		for nCovered < len(paying) {
-			bi, bc := -1, math.Inf(1)
-			for i, it := range items {
-				nu := 0
-				if !covered[it.t1] {
-					nu++
-				}
-				if it.t2 >= 0 && !covered[it.t2] {
-					nu++
-				}
-				if nu == 0 {
-					continue
-				}
-				if per := it.cost / float64(nu); per < bc {
-					bi, bc = i, per
-				}
-			}
-			if bi < 0 {
-				break
-			}
-			it := items[bi]
-			if !covered[it.t1] {
-				covered[it.t1] = true
-				nCovered++
-			}
-			if it.t2 >= 0 && !covered[it.t2] {
-				covered[it.t2] = true
-				nCovered++
-			}
-			if it.hub < 0 {
-				legEnds = append(legEnds, it.t1)
-			} else {
-				hubLegs = append(hubLegs, it)
-			}
-			if nCovered >= minCover {
-				sp := s.assembleBranchSpider(v, parents, legEnds, hubLegs)
-				if sp.Paying >= minCover && sp.Ratio < best.Ratio-1e-15 {
-					best = sp.Clone()
-					found = true
-				}
-			}
-		}
-		s.sc.legEnds = legEnds
-		s.sc.hubLegs = hubLegs
-	}
-	return best, found
-}
-
-// termDistSorter sorts terminal ids by (distance, id) — a total order,
-// so the result is algorithm-independent.
-type termDistSorter struct {
-	terms []int
-	dist  []float64
-}
-
-func (t *termDistSorter) Len() int { return len(t.terms) }
-func (t *termDistSorter) Less(a, b int) bool {
-	if t.dist[t.terms[a]] != t.dist[t.terms[b]] {
-		return t.dist[t.terms[a]] < t.dist[t.terms[b]]
-	}
-	return t.terms[a] < t.terms[b]
-}
-func (t *termDistSorter) Swap(a, b int) {
-	t.terms[a], t.terms[b] = t.terms[b], t.terms[a]
-}
-
-// legItem is a candidate spider leg: either a direct path to one terminal
-// (hub < 0, t2 < 0) or a path to a hub that forks to the two terminals
-// t1, t2.
-type legItem struct {
-	cost   float64
-	hub    int // −1 for single legs
-	t1, t2 int // covered terminals; t2 == −1 for single legs
-}
-
-// assembleBranchSpider unions the center's single legs with hub-forked
-// legs and computes exact cost, terminals and ratio. Like buildSpider,
-// the result aliases scratch; Clone to keep it.
-func (s *State) assembleBranchSpider(center int, parents [][]int, singleEnds []int, hubLegs []legItem) Spider {
-	inUnion := s.sc.spiderBufs(s.g.N())
-	nodes := append(s.sc.nodesBuf, center)
-	inUnion[center] = true
-	add := func(parent []int, end int) {
-		s.sc.pathBuf = appendPath(parent, end, s.sc.pathBuf[:0])
-		for _, v := range s.sc.pathBuf {
-			if !inUnion[v] {
-				inUnion[v] = true
-				nodes = append(nodes, v)
-			}
-		}
-	}
-	for _, e := range singleEnds {
-		add(parents[center], e)
-	}
-	for _, hl := range hubLegs {
-		add(parents[center], hl.hub)
-		add(parents[hl.hub], hl.t1)
-		add(parents[hl.hub], hl.t2)
-	}
-	sp := s.finishSpider(center, nodes)
-	for _, v := range sp.Nodes {
-		inUnion[v] = false
-	}
-	return sp
 }
 
 // Shrink contracts the spider's nodes into a fresh zero-weight terminal

@@ -1,0 +1,515 @@
+package nwst
+
+import (
+	"math"
+	"sort"
+	"sync/atomic"
+
+	"wmcs/internal/engine"
+	"wmcs/internal/graph"
+)
+
+// This file is the spider oracles (DESIGN.md §14). Both are center
+// scans: every live vertex is scored against read-only state (graph,
+// weights, terminal marks, the distance rows), and the winner is picked
+// by a deterministic fold. The center range is cut into fixed
+// contiguous slices — a function of the vertex count only, never of the
+// pool width — each scanned with one lane of State-owned scratch; the
+// slice winners are then folded in slice order under the acceptance
+// rule ratio < best − 1e-15 (the first winner is kept on near-ties).
+// Width 1 runs the slices in order on lane 0; width N lets the pool's
+// workers claim them. The same slices produce the same winners either
+// way, so the spider is a function of the state alone.
+//
+// A scan records only arithmetic — each slice's best (center, step,
+// cost, paying, ratio) — and the winner's node and terminal lists are
+// built once after the fold, into fresh slices the caller owns: a
+// TrajectoryMemo keeps returned spiders for replay, so they must never
+// alias State buffers.
+
+// oracleSliceCap bounds the number of center slices: min(n, 32) slices
+// keeps the fold trivially cheap while feeding any realistic pool.
+const oracleSliceCap = 32
+
+// oracleTables is the oracle state a State owns beside its lanes. The
+// rows and hub pairs are written by exactly one slice task per center
+// and read by all of them afterwards; the rest is per-call input,
+// loaded serially before any lane runs.
+type oracleTables struct {
+	// dists[v] and parents[v] are the node distances and shortest-path
+	// parents from center v, refreshed by every branch-oracle call (a
+	// Klein–Ravi call sweeps into its lane's buffers instead).
+	dists   [][]float64
+	parents [][]int
+	// hubT1[u], hubT2[u] are hub u's two nearest paying terminals (−1
+	// when it has fewer than two in reach), for the branch oracle.
+	hubT1, hubT2 []int
+	// lanes[0] is &State.sc; more are added the first time a pool
+	// wider than 1 scans.
+	lanes []*scratch
+	// The current call: live paying terminals in id order, the clamped
+	// cover requirement, which oracle runs, and the slice winners.
+	paying   []int
+	minCover int
+	branch   bool
+	krBest   []sliceBest
+	brBest   []sliceBest
+}
+
+// sliceBest is the arithmetic of a slice's winning candidate: its center
+// and how far the center's scan had gone (Klein–Ravi: the prefix length;
+// branch: the number of greedy picks). center < 0 means no candidate.
+type sliceBest struct {
+	center, step, paying int
+	cost, ratio          float64
+	branch               bool
+}
+
+var noSpider = sliceBest{center: -1, ratio: math.Inf(1)}
+
+// KleinRaviOracle finds a minimum-ratio spider in the style of Klein–Ravi
+// [33]: for every live center, take the minCover, minCover+1, … nearest
+// paying terminals by node-weighted distance and keep the prefix whose
+// exact union cost per covered paying terminal is smallest. It scans at
+// width 1.
+func KleinRaviOracle(s *State, minCover int) (Spider, bool) {
+	return s.kleinRavi(minCover, nil)
+}
+
+// BranchSpiderOracle extends KleinRaviOracle with Guha–Khuller style
+// branch legs: a leg may route to an intermediate hub and fork to two
+// terminals there, which is what improves the greedy from 2 ln k towards
+// 1.5 ln k. Per center it greedily combines single and forked legs by
+// cost per newly covered terminal, keeping the best exact-ratio prefix;
+// the Klein–Ravi candidates compete in the same fold. It scans at
+// width 1.
+func BranchSpiderOracle(s *State, minCover int) (Spider, bool) {
+	return s.branchSpider(minCover, nil)
+}
+
+// BranchSpiderOracleOn is BranchSpiderOracle with its slices scanned on
+// the pool's workers; it returns the identical spider at every width. A
+// State must not be used by anything else during a call (the
+// mechanism's call discipline already guarantees this).
+func BranchSpiderOracleOn(pool *engine.Pool) Oracle {
+	return func(s *State, minCover int) (Spider, bool) {
+		return s.branchSpider(minCover, pool)
+	}
+}
+
+func (s *State) kleinRavi(minCover int, pool *engine.Pool) (Spider, bool) {
+	if !s.begin(minCover, false) {
+		return Spider{Ratio: math.Inf(1)}, false
+	}
+	s.scan(pool, (*State).sweepSlice)
+	return s.materialize(fold(noSpider, s.krBest))
+}
+
+func (s *State) branchSpider(minCover int, pool *engine.Pool) (Spider, bool) {
+	if !s.begin(minCover, true) {
+		return Spider{Ratio: math.Inf(1)}, false
+	}
+	// Every hub row must be complete before any center's leg greedy
+	// reads it, hence two passes.
+	s.scan(pool, (*State).sweepSlice)
+	s.scan(pool, (*State).branchSlice)
+	return s.materialize(fold(fold(noSpider, s.krBest), s.brBest))
+}
+
+// begin loads one call's inputs and sizes the tables and lane 0 to the
+// current graph. It reports false when no paying terminal is live.
+func (s *State) begin(minCover int, branch bool) bool {
+	n := s.g.N()
+	s.paying = s.paying[:0]
+	for v := 0; v < n; v++ {
+		if s.alive[v] && s.isTerm[v] && !s.free[v] {
+			s.paying = append(s.paying, v)
+		}
+	}
+	if len(s.paying) == 0 {
+		return false
+	}
+	s.minCover = min(minCover, len(s.paying))
+	s.branch = branch
+	if branch {
+		if len(s.dists) < n {
+			s.dists = append(s.dists, make([][]float64, n-len(s.dists))...)
+			s.parents = append(s.parents, make([][]int, n-len(s.parents))...)
+		}
+		for v := 0; v < n; v++ {
+			if s.alive[v] {
+				s.dists[v] = fit(s.dists[v], n)
+				s.parents[v] = fit(s.parents[v], n)
+			}
+		}
+		s.hubT1 = fit(s.hubT1, n)
+		s.hubT2 = fit(s.hubT2, n)
+	}
+	ns := min(n, oracleSliceCap)
+	s.krBest = fit(s.krBest, ns)
+	s.brBest = fit(s.brBest, ns)
+	s.sc.grow(n)
+	return true
+}
+
+// grow sizes a lane's per-vertex buffers to an n-vertex graph.
+func (sc *scratch) grow(n int) {
+	sc.dist = fit(sc.dist, n)
+	sc.par = fit(sc.par, n)
+	sc.inUnion = fit(sc.inUnion, n)
+	sc.covered = fit(sc.covered, n)
+}
+
+// sweep runs center v's Dijkstra into the row its scan reads: for the
+// branch oracle, whose leg greedy reads every hub's row, the center's
+// table row, exhaustively; for Klein–Ravi, which reads only the row of
+// the center it is scoring, the lane's own buffers, stopped at the last
+// paying terminal.
+func (s *State) sweep(sc *scratch, v int) ([]float64, []int) {
+	if s.branch {
+		s.dijkstra(sc, v, s.dists[v], s.parents[v], -1)
+		return s.dists[v], s.parents[v]
+	}
+	s.dijkstra(sc, v, sc.dist, sc.par, len(s.paying))
+	return sc.dist, sc.par
+}
+
+// scan runs one pass of slice tasks. At width 1 lane 0 takes the slices
+// in order; at width N each worker holds one lane and claims slices from
+// a shared counter until none remain. A slice's result depends only on
+// the slice, never on the lane or the order slices were claimed in.
+func (s *State) scan(pool *engine.Pool, task func(s *State, sc *scratch, b int)) {
+	ns := len(s.krBest)
+	w := min(pool.Workers(), ns)
+	if w <= 1 {
+		for b := 0; b < ns; b++ {
+			task(s, &s.sc, b)
+		}
+		return
+	}
+	n := s.g.N()
+	if len(s.lanes) == 0 {
+		s.lanes = append(s.lanes, &s.sc)
+	}
+	for len(s.lanes) < w {
+		s.lanes = append(s.lanes, &scratch{heap: graph.NewIndexHeap(n)})
+	}
+	for _, sc := range s.lanes[:w] {
+		sc.grow(n)
+	}
+	var next atomic.Int64
+	engine.Map(pool, w, func(i int) struct{} {
+		for b := int(next.Add(1)) - 1; b < ns; b = int(next.Add(1)) - 1 {
+			task(s, s.lanes[i], b)
+		}
+		return struct{}{}
+	})
+}
+
+// slice returns slice b's center range [lo, hi).
+func (s *State) slice(b int) (lo, hi int) {
+	n, ns := s.g.N(), len(s.krBest)
+	return b * n / ns, (b + 1) * n / ns
+}
+
+// sweepSlice sweeps the distance rows of slice b's centers and scores
+// their Klein–Ravi prefixes; for the branch oracle it also records each
+// center's two nearest paying terminals as a hub.
+func (s *State) sweepSlice(sc *scratch, b int) {
+	best := noSpider
+	lo, hi := s.slice(b)
+	for v := lo; v < hi; v++ {
+		if !s.alive[v] {
+			continue
+		}
+		dist, parent := s.sweep(sc, v)
+		s.krCenter(sc, v, dist, parent, &best, 0)
+		if s.branch {
+			s.hubT1[v], s.hubT2[v] = s.nearestTwo(dist)
+		}
+	}
+	s.krBest[b] = best
+}
+
+// branchSlice scores the leg greedy of slice b's centers.
+func (s *State) branchSlice(sc *scratch, b int) {
+	best := noSpider
+	lo, hi := s.slice(b)
+	for v := lo; v < hi; v++ {
+		if s.alive[v] {
+			s.branchCenter(sc, v, &best, 0)
+		}
+	}
+	s.brBest[b] = best
+}
+
+// fold merges slice winners, in slice order, into best.
+func fold(best sliceBest, slices []sliceBest) sliceBest {
+	for _, r := range slices {
+		if r.center >= 0 && r.ratio < best.ratio-1e-15 {
+			best = r
+		}
+	}
+	return best
+}
+
+// consider offers one candidate to a slice's running best.
+func (s *State) consider(best *sliceBest, center, step int, cost float64, paying int, branch bool) {
+	ratio := math.Inf(1)
+	if paying > 0 {
+		ratio = cost / float64(paying)
+	}
+	if paying >= s.minCover && ratio < best.ratio-1e-15 {
+		*best = sliceBest{center: center, step: step, paying: paying, cost: cost, ratio: ratio, branch: branch}
+	}
+}
+
+// krCenter runs center v's Klein–Ravi scan over its distance row: paying
+// terminals sorted by (distance, id), legs unioned incrementally. Each
+// leg extends the union of the legs before it in place — nodes appended
+// center first, then each leg's path nodes not already present, with
+// cost accumulated strictly left to right at append time — and every
+// prefix of at least minCover legs is offered to best. With upto > 0 the
+// scan instead stops after prefix upto and leaves that prefix's union,
+// in insertion order, in sc.nodesBuf.
+func (s *State) krCenter(sc *scratch, v int, dist []float64, parent []int, best *sliceBest, upto int) {
+	// The comparator is a total order (ties broken by id), so the sorted
+	// sequence — and with it every downstream byte — does not depend on
+	// the sort algorithm. sort.Sort on the pointer sorter avoids the
+	// per-call closure and reflect.Swapper allocations of sort.Slice.
+	terms := append(sc.sortBuf[:0], s.paying...)
+	sc.sortBuf = terms
+	sc.sorter = termDistSorter{terms: terms, dist: dist}
+	sort.Sort(&sc.sorter)
+	if math.IsInf(dist[terms[s.minCover-1]], 1) {
+		return
+	}
+	inUnion := sc.inUnion
+	nodes := append(sc.nodesBuf[:0], v)
+	inUnion[v] = true
+	var cost float64
+	paying := 0
+	admit := func(x int) {
+		cost += s.w[x]
+		if s.isTerm[x] && !s.free[x] {
+			paying++
+		}
+	}
+	admit(v)
+	for j := 1; j <= len(terms); j++ {
+		if math.IsInf(dist[terms[j-1]], 1) {
+			break
+		}
+		sc.pathBuf = appendPath(parent, terms[j-1], sc.pathBuf[:0])
+		for _, x := range sc.pathBuf {
+			if !inUnion[x] {
+				inUnion[x] = true
+				nodes = append(nodes, x)
+				admit(x)
+			}
+		}
+		if j == upto {
+			break
+		}
+		if upto <= 0 && j >= s.minCover {
+			s.consider(best, v, j, cost, paying, false)
+		}
+	}
+	for _, x := range nodes {
+		inUnion[x] = false
+	}
+	sc.nodesBuf = nodes
+}
+
+// nearestTwo returns the two nearest paying terminals on a distance row
+// (−1 for each one missing), the first found kept on equal distances.
+func (s *State) nearestTwo(dist []float64) (t1, t2 int) {
+	t1, t2 = -1, -1
+	for _, t := range s.paying {
+		if math.IsInf(dist[t], 1) {
+			continue
+		}
+		if t1 < 0 || dist[t] < dist[t1] {
+			t1, t2 = t, t1
+		} else if t2 < 0 || dist[t] < dist[t2] {
+			t2 = t
+		}
+	}
+	return t1, t2
+}
+
+// termDistSorter sorts terminal ids by (distance, id) — a total order,
+// so the result is algorithm-independent.
+type termDistSorter struct {
+	terms []int
+	dist  []float64
+}
+
+func (t *termDistSorter) Len() int { return len(t.terms) }
+func (t *termDistSorter) Less(a, b int) bool {
+	if t.dist[t.terms[a]] != t.dist[t.terms[b]] {
+		return t.dist[t.terms[a]] < t.dist[t.terms[b]]
+	}
+	return t.terms[a] < t.terms[b]
+}
+func (t *termDistSorter) Swap(a, b int) {
+	t.terms[a], t.terms[b] = t.terms[b], t.terms[a]
+}
+
+// legItem is a candidate spider leg: either a direct path to one terminal
+// (hub < 0, t2 < 0) or a path to a hub that forks to the two terminals
+// t1, t2.
+type legItem struct {
+	cost   float64
+	hub    int // −1 for single legs
+	t1, t2 int // covered terminals; t2 == −1 for single legs
+}
+
+// branchCenter runs center v's leg greedy: single legs to every
+// reachable paying terminal and forked legs through every reachable
+// hub, picked by cost per newly covered terminal. Once minCover
+// terminals are covered, every pick's union is offered to best. With
+// upto > 0 the greedy instead stops after pick upto, leaving the chosen
+// legs in sc.legEnds and sc.hubLegs.
+func (s *State) branchCenter(sc *scratch, v int, best *sliceBest, upto int) {
+	dv := s.dists[v]
+	items := sc.items[:0]
+	for _, t := range s.paying {
+		if !math.IsInf(dv[t], 1) {
+			items = append(items, legItem{cost: dv[t], hub: -1, t1: t, t2: -1})
+		}
+	}
+	n := s.g.N()
+	for u := 0; u < n; u++ {
+		if !s.alive[u] || u == v || math.IsInf(dv[u], 1) || s.hubT2[u] < 0 {
+			continue
+		}
+		du, t1, t2 := s.dists[u], s.hubT1[u], s.hubT2[u]
+		items = append(items, legItem{cost: dv[u] + du[t1] + du[t2], hub: u, t1: t1, t2: t2})
+	}
+	sc.items = items
+	covered := sc.covered
+	for _, t := range s.paying {
+		covered[t] = false
+	}
+	nCovered := 0
+	legEnds := sc.legEnds[:0]
+	hubLegs := sc.hubLegs[:0]
+	for picks := 1; nCovered < len(s.paying); picks++ {
+		bi, bc := -1, math.Inf(1)
+		for i, it := range items {
+			nu := 0
+			if !covered[it.t1] {
+				nu++
+			}
+			if it.t2 >= 0 && !covered[it.t2] {
+				nu++
+			}
+			if nu == 0 {
+				continue
+			}
+			if per := it.cost / float64(nu); per < bc {
+				bi, bc = i, per
+			}
+		}
+		if bi < 0 {
+			break
+		}
+		it := items[bi]
+		if !covered[it.t1] {
+			covered[it.t1] = true
+			nCovered++
+		}
+		if it.t2 >= 0 && !covered[it.t2] {
+			covered[it.t2] = true
+			nCovered++
+		}
+		if it.hub < 0 {
+			legEnds = append(legEnds, it.t1)
+		} else {
+			hubLegs = append(hubLegs, it)
+		}
+		if picks == upto {
+			break
+		}
+		if upto <= 0 && nCovered >= s.minCover {
+			sc.legEnds, sc.hubLegs = legEnds, hubLegs
+			cost, paying := s.legUnion(sc, v)
+			s.consider(best, v, picks, cost, paying, true)
+		}
+	}
+	sc.legEnds, sc.hubLegs = legEnds, hubLegs
+}
+
+// legUnion unions center v's chosen legs (sc.legEnds, then sc.hubLegs
+// as hub path and both forks) into sc.nodesBuf in insertion order and
+// returns the union's exact cost, summed in that order, and its paying
+// terminal count.
+func (s *State) legUnion(sc *scratch, v int) (cost float64, paying int) {
+	inUnion := sc.inUnion
+	nodes := append(sc.nodesBuf[:0], v)
+	inUnion[v] = true
+	add := func(parent []int, end int) {
+		sc.pathBuf = appendPath(parent, end, sc.pathBuf[:0])
+		for _, x := range sc.pathBuf {
+			if !inUnion[x] {
+				inUnion[x] = true
+				nodes = append(nodes, x)
+			}
+		}
+	}
+	for _, e := range sc.legEnds {
+		add(s.parents[v], e)
+	}
+	for _, hl := range sc.hubLegs {
+		add(s.parents[v], hl.hub)
+		add(s.parents[hl.hub], hl.t1)
+		add(s.parents[hl.hub], hl.t2)
+	}
+	for _, x := range nodes {
+		inUnion[x] = false
+		cost += s.w[x]
+		if s.isTerm[x] && !s.free[x] {
+			paying++
+		}
+	}
+	sc.nodesBuf = nodes
+	return cost, paying
+}
+
+// materialize builds the folded winner's spider on lane 0 by re-running
+// its center's scan up to the recorded step — for a Klein–Ravi winner
+// whose row lived in a lane buffer, the center's sweep too. The
+// arithmetic was already recorded; only the node and terminal lists are
+// new, allocated here and owned by the caller.
+func (s *State) materialize(best sliceBest) (Spider, bool) {
+	if best.center < 0 {
+		return Spider{Ratio: math.Inf(1)}, false
+	}
+	sc, v := &s.sc, best.center
+	switch {
+	case best.branch:
+		s.branchCenter(sc, v, nil, best.step)
+		s.legUnion(sc, v)
+	case s.branch:
+		s.krCenter(sc, v, s.dists[v], s.parents[v], nil, best.step)
+	default:
+		dist, parent := s.sweep(sc, v)
+		s.krCenter(sc, v, dist, parent, nil, best.step)
+	}
+	nodes := append([]int(nil), sc.nodesBuf...)
+	sort.Ints(nodes)
+	nt := 0
+	for _, x := range nodes {
+		if s.isTerm[x] {
+			nt++
+		}
+	}
+	terms := make([]int, 0, nt)
+	for _, x := range nodes {
+		if s.isTerm[x] {
+			terms = append(terms, x)
+		}
+	}
+	return Spider{Center: v, Nodes: nodes, Terms: terms, Paying: best.paying, Cost: best.cost, Ratio: best.ratio}, true
+}

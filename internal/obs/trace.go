@@ -56,7 +56,7 @@ const (
 	// StagePurge covers a PATCH's retired-prefix cache purge.
 	StagePurge
 	// StageParallelEvaluate covers a dispatch round's concurrent group
-	// window when replica slots are enabled (serve.Options.ParallelEval):
+	// window when replica slots are enabled (an evaluation width above 1):
 	// from the round's start to the moment this task's group finished
 	// evaluating on its slot — slot wait included, so the span widening
 	// past StageEvaluate is the cost of slot contention.

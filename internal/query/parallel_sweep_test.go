@@ -1,7 +1,6 @@
 package query
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -9,14 +8,10 @@ import (
 	"wmcs/internal/mechreg"
 )
 
-// This file is the width-1 ≡ width-N differential sweep for the parallel
-// evaluation tier (DESIGN.md §14): over the full registry × scenario
-// grid, an evaluator built with WithParallel must answer bit-identically
-// at every pool width — exact outcomes, sampled outcomes, AND the (ε, δ)
-// certificates — and the exact tier must also agree with the legacy
-// serial evaluator on these instances (the parallel oracle's fixed-slice
-// fold applies the same acceptance predicate, so real instances without
-// sub-eps ratio chains coincide exactly).
+// This file is the width-1 ≡ width-N differential sweep (DESIGN.md §14):
+// over the full registry × scenario grid, an evaluator built with
+// WithWidth must answer bit-identically at every width — exact outcomes,
+// sampled outcomes, AND the (ε, δ) certificates.
 
 // sameCert compares approx certificates bitwise (nil == nil).
 func sameCert(a, b *mech.ApproxCert) bool {
@@ -58,10 +53,9 @@ func TestParallelWidthInvariantSweep(t *testing.T) {
 			}
 			reqs := withApproxTier(sweepRequests(nw, f.mechs, f.spec.Seed))
 
-			p1 := NewEvaluator(nw, WithParallel(ParallelSpec{Workers: 1}))
-			base := p1.EvaluateBatch(reqs, 1)
+			base := NewEvaluator(nw, WithWidth(1)).EvaluateBatch(reqs, 1)
 			for _, width := range []int{2, 3, 8} {
-				pw := NewEvaluator(nw, WithParallel(ParallelSpec{Workers: width}))
+				pw := NewEvaluator(nw, WithWidth(width))
 				got := pw.EvaluateBatch(reqs, 1)
 				for i := range got {
 					if (got[i].Err == nil) != (base[i].Err == nil) {
@@ -82,40 +76,25 @@ func TestParallelWidthInvariantSweep(t *testing.T) {
 					}
 				}
 			}
-
-			// The exact tier must also match the legacy serial evaluator:
-			// closed-form mechanisms are untouched by the pool, and the
-			// parallel spider oracle coincides with the serial one on
-			// these instances.
-			legacy := NewEvaluator(nw).EvaluateBatch(reqs, 1)
-			for i := range base {
-				if reqs[i].Approx != nil {
-					continue // sampled tiers differ by design across tiers
-				}
-				if (base[i].Err == nil) != (legacy[i].Err == nil) {
-					t.Fatalf("legacy req %d (%s): err %v vs %v", i, reqs[i].Mech, base[i].Err, legacy[i].Err)
-				}
-				if base[i].Err == nil && !sameOutcome(base[i].Outcome, legacy[i].Outcome) {
-					t.Fatalf("exact tier diverges from legacy serial (req %d, %s, |R|=%d)\nparallel: %+v\nlegacy:   %+v",
-						i, reqs[i].Mech, len(reqs[i].R), base[i].Outcome, legacy[i].Outcome)
-				}
-			}
 		})
 	}
 }
 
-// TestParallelSurvivesVersionedUpdate: WithParallel is part of the
+// width reports the spider-oracle width an evaluator was built with.
+func width(e *Evaluator) int { return e.ctx.Pool.Workers() }
+
+// TestParallelSurvivesVersionedUpdate: WithWidth is part of the
 // versioned evaluator's option set, so every rebuilt generation keeps
 // the configured width, and post-update answers still match a cold
-// width-1 parallel evaluator over the updated network.
+// width-1 evaluator over the updated network.
 func TestParallelSurvivesVersionedUpdate(t *testing.T) {
 	f := sweepFamilies(9)[0]
 	nw, err := f.spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ve := NewVersioned(nw, WithParallel(ParallelSpec{Workers: 4}))
-	if w := ve.Evaluator().ParallelWorkers(); w != 4 {
+	ve := NewVersioned(nw, WithWidth(4))
+	if w := width(ve.Evaluator()); w != 4 {
 		t.Fatalf("pre-update width = %d, want 4", w)
 	}
 	reqs := withApproxTier(sweepRequests(ve.Network(), f.mechs, f.spec.Seed))
@@ -123,11 +102,11 @@ func TestParallelSurvivesVersionedUpdate(t *testing.T) {
 	if _, err := ve.Update(mutateForUpdate); err != nil {
 		t.Fatal(err)
 	}
-	if w := ve.Evaluator().ParallelWorkers(); w != 4 {
+	if w := width(ve.Evaluator()); w != 4 {
 		t.Fatalf("post-update width = %d, want 4 (options must carry across swaps)", w)
 	}
 	after := ve.Evaluator().EvaluateBatch(reqs, 1)
-	cold := NewEvaluator(ve.Network(), WithParallel(ParallelSpec{Workers: 1})).EvaluateBatch(reqs, 1)
+	cold := NewEvaluator(ve.Network()).EvaluateBatch(reqs, 1)
 	for i := range after {
 		if (after[i].Err == nil) != (cold[i].Err == nil) {
 			t.Fatalf("req %d (%s): err %v vs %v", i, reqs[i].Mech, after[i].Err, cold[i].Err)
@@ -138,33 +117,26 @@ func TestParallelSurvivesVersionedUpdate(t *testing.T) {
 	}
 }
 
-// TestParallelSpecValidation pins the typed-error contract: zero and
-// negative widths are rejected with *ParallelSpecError (auto-width is
-// the flag layer's job), and the panicking constructor panics.
+// TestParallelSpecValidation pins the width option's contract: widths
+// below 1 panic (auto-width is the flag layer's job), the default and
+// width 1 scan serially, and wider widths build a pool of that width.
 func TestParallelSpecValidation(t *testing.T) {
 	for _, w := range []int{0, -1, -8} {
-		_, err := WithParallelChecked(ParallelSpec{Workers: w})
-		var pe *ParallelSpecError
-		if !errors.As(err, &pe) {
-			t.Fatalf("WithParallelChecked(%d): err = %v, want *ParallelSpecError", w, err)
-		}
-		if pe.Workers != w {
-			t.Fatalf("ParallelSpecError.Workers = %d, want %d", pe.Workers, w)
-		}
-	}
-	if opt, err := WithParallelChecked(ParallelSpec{Workers: 2}); err != nil || opt == nil {
-		t.Fatalf("WithParallelChecked(2): opt=%v err=%v", opt, err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("WithParallel(ParallelSpec{Workers: 0}) did not panic")
-			}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("WithWidth(%d) did not panic", w)
+				}
+			}()
+			WithWidth(w)
 		}()
-		WithParallel(ParallelSpec{Workers: 0})
-	}()
-	ev := NewEvaluator(nil)
-	if w := ev.ParallelWorkers(); w != 0 {
-		t.Fatalf("default ParallelWorkers = %d, want 0 (serial tier)", w)
+	}
+	for _, c := range []struct {
+		opts []Option
+		want int
+	}{{nil, 1}, {[]Option{WithWidth(1)}, 1}, {[]Option{WithWidth(2)}, 2}, {[]Option{WithWidth(8)}, 8}} {
+		if got := width(NewEvaluator(nil, c.opts...)); got != c.want {
+			t.Fatalf("width = %d, want %d", got, c.want)
+		}
 	}
 }

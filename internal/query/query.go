@@ -82,11 +82,6 @@ type Evaluator struct {
 	// paths (WithoutDeltaRebuild) — carried here because options apply
 	// per evaluator and VersionedEvaluator consults the current one.
 	noDelta bool
-	// pool and parallelWorkers carry the WithParallel configuration: a
-	// shared engine pool for the parallel evaluation tier (DESIGN.md
-	// §14) and its declared width. nil/0 = serial tier.
-	pool            *engine.Pool
-	parallelWorkers int
 
 	mu        sync.Mutex
 	ctx       *mechreg.BuildContext
@@ -101,6 +96,22 @@ type Option func(*Evaluator)
 // (default nwst.BranchSpiderOracle, the paper's 1.5 ln k choice).
 func WithOracle(o nwst.Oracle) Option {
 	return func(e *Evaluator) { e.ctx.Oracle = o }
+}
+
+// WithWidth runs each query's spider-oracle scans on an engine pool of
+// the given width (DESIGN.md §14); the default is 1. The bytes are the
+// same at every width, so the width trades only latency against cores.
+// It panics for widths below 1: resolving "0 means GOMAXPROCS" is the
+// flag layer's job, so an evaluator's width is always explicit.
+func WithWidth(workers int) Option {
+	if workers < 1 {
+		panic(fmt.Sprintf("query: width must be >= 1, got %d", workers))
+	}
+	return func(e *Evaluator) {
+		if workers > 1 {
+			e.ctx.Pool = engine.New(workers)
+		}
+	}
 }
 
 // WithoutDeltaRebuild makes VersionedEvaluator.Update always rebuild

@@ -45,9 +45,9 @@ type batcher struct {
 	workers int
 	maxWait int // max tasks drained into one dispatch round
 
-	// parallel is the replica-slot count (serve.Options.ParallelEval);
-	// slots is the semaphore bounding concurrent group dispatch. 0 or 1
-	// keeps the historical serial group loop.
+	// parallel is the replica-slot count (the registry's evaluation
+	// width); slots is the semaphore bounding concurrent group dispatch.
+	// 1 keeps the serial group loop.
 	parallel int
 	slots    chan struct{}
 

@@ -121,9 +121,6 @@ func TestMechanismsEndpoint(t *testing.T) {
 		if m.Domain == "" || m.PaperRef == "" || m.Strategyproofness == "" || m.BudgetBalance == "" {
 			t.Errorf("%s: incomplete metadata: %+v", m.Name, m)
 		}
-		if m.Parallel != d.Parallel {
-			t.Errorf("%s: parallel flag %v, descriptor says %v", m.Name, m.Parallel, d.Parallel)
-		}
 	}
 }
 

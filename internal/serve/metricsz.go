@@ -44,7 +44,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("wmcs_cache_capacity_entries", "Result cache capacity in entries.", float64(cs.Capacity))
 
 	p.Gauge("wmcs_in_flight_requests", "Requests currently inside an evaluate or batch handler.", float64(s.stats.InFlight.Load()))
-	p.Gauge("wmcs_parallel_eval_width", "Configured intra-query parallel width (0 = serial tier).", float64(s.opts.ParallelEval))
+	p.Gauge("wmcs_parallel_eval_width", "Configured evaluation width (spider-oracle scans and replica slots).", float64(s.batch.parallel))
 	p.Gauge("wmcs_networks", "Hosted networks.", float64(s.reg.Len()))
 
 	// Per-network gauges: version and generation identify the lifecycle

@@ -14,16 +14,16 @@ import (
 )
 
 // TestParallelReplicaHammer is the -race hammer for the replica-slot
-// dispatch path (DESIGN.md §14): two networks served on the parallel
-// evaluation tier take concurrent heavy queries — exact wireless-bb,
-// exact Shapley, and sampled-tier requests with certificates — while a
-// writer rotates each network through PATCH versions. Concurrent
-// queries against distinct networks land in shared dispatch rounds, so
-// their groups run concurrently on replica slots; every version-labeled
-// response must be byte-identical to a cold width-1 evaluator *on the
-// parallel tier* at exactly the version its X-Wmcs-Version header names
-// (width 1 stands in for the server's width because the tier is
-// width-invariant by construction — the query-layer sweep pins that).
+// dispatch path (DESIGN.md §14): two networks served at evaluation width
+// 4 take concurrent heavy queries — exact wireless-bb, exact Shapley,
+// and sampled-tier requests with certificates — while a writer rotates
+// each network through PATCH versions. Concurrent queries against
+// distinct networks land in shared dispatch rounds, so their groups run
+// concurrently on replica slots; every version-labeled response must be
+// byte-identical to a cold width-1 evaluator at exactly the version its
+// X-Wmcs-Version header names (width 1 stands in for the server's width
+// because the bytes are width-invariant by construction — the
+// query-layer sweep pins that).
 func TestParallelReplicaHammer(t *testing.T) {
 	const (
 		n       = 8
@@ -42,20 +42,16 @@ func TestParallelReplicaHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := NewServer(reg, Options{Workers: width, ParallelEval: width})
+	s := NewServer(reg, Options{Workers: width})
 	defer s.Close()
-	for _, sp := range specs {
-		entry, _ := reg.Get(sp.Name)
-		if w := entry.Ev.Evaluator().ParallelWorkers(); w != width {
-			t.Fatalf("%s: evaluator width %d, want %d", sp.Name, w, width)
-		}
+	if s.batch.parallel != width {
+		t.Fatalf("replica slots %d, want the registry's width %d", s.batch.parallel, width)
 	}
 
 	// Per network: heavy probes (the spider-contraction mechanism, a
 	// Shapley tree, and a sampled-tier request whose response carries a
 	// certificate) plus the PATCH stream and the per-version expected
-	// bytes, computed on independent replicas with width-1 parallel
-	// evaluators.
+	// bytes, computed on independent replicas with width-1 evaluators.
 	type netCase struct {
 		name     string
 		probes   []EvalRequest
@@ -93,7 +89,7 @@ func TestParallelReplicaHammer(t *testing.T) {
 		}
 		record := func() {
 			snap := replica.Snapshot()
-			ev := query.NewEvaluator(snap, query.WithParallel(query.ParallelSpec{Workers: 1}))
+			ev := query.NewEvaluator(snap)
 			for pi, req := range nc.probes {
 				c, err := Canonicalize(req, n, src)
 				if err != nil {

@@ -28,11 +28,11 @@ type Registry struct {
 	mu    sync.RWMutex
 	nets  map[string]*NetworkEntry
 	order []string // registration order, for stable listings
-	// parallel is the intra-query parallel width every *future*
-	// registration builds its evaluators with (query.WithParallel);
-	// 0 keeps the historical serial tier. Set it before registering —
-	// SetParallel does not retrofit existing entries.
-	parallel int
+	// width is the evaluation width every *future* registration builds
+	// its evaluators with (query.WithWidth), and the replica-slot count
+	// of a server built over the registry; default 1. Set it before
+	// registering — SetParallel does not retrofit existing entries.
+	width int
 }
 
 // NetworkEntry is one hosted network. Spec is the manifest spec it was
@@ -87,32 +87,37 @@ func (e *NetworkEntry) prefixFor(version uint64) string {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{nets: make(map[string]*NetworkEntry)}
+	return &Registry{nets: make(map[string]*NetworkEntry), width: 1}
 }
 
-// SetParallel makes every future registration build its versioned
-// evaluators on the parallel evaluation tier at the given width
-// (DESIGN.md §14); workers <= 0 selects the serial tier. The width
-// carries across PATCH swaps automatically (VersionedEvaluator re-applies
-// its construction options on every rebuild). Call before registering
-// networks — entries already hosted keep the tier they were built with.
+// SetParallel sets the evaluation width (DESIGN.md §14) every future
+// registration builds its versioned evaluators with, and that NewServer
+// reads for its replica slots and its parallel_eval exposition; the
+// default is 1. The bytes served are the same at every width. It panics
+// for widths below 1: resolving "0 means GOMAXPROCS" is the flag
+// layer's job. The width carries across PATCH swaps automatically
+// (VersionedEvaluator re-applies its construction options on every
+// rebuild). Call before registering networks and before NewServer —
+// entries already hosted keep the width they were built with.
 func (r *Registry) SetParallel(workers int) {
+	if workers < 1 {
+		panic(fmt.Sprintf("serve: evaluation width must be >= 1, got %d", workers))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if workers < 0 {
-		workers = 0
-	}
-	r.parallel = workers
+	r.width = workers
+}
+
+// parallel reports the registry's evaluation width.
+func (r *Registry) parallel() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.width
 }
 
 // evalOpts resolves the evaluator construction options a new entry uses.
 func (r *Registry) evalOpts() []query.Option {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.parallel >= 1 {
-		return []query.Option{query.WithParallel(query.ParallelSpec{Workers: r.parallel})}
-	}
-	return nil
+	return []query.Option{query.WithWidth(r.parallel())}
 }
 
 // DefaultSpecs is the demo manifest wmcsd and wmcsload fall back to

@@ -34,15 +34,6 @@ type Options struct {
 	// MaxBatch caps how many queued queries one dispatcher round may
 	// carry (default 64).
 	MaxBatch int
-	// ParallelEval enables the deterministic intra-query parallel tier
-	// (DESIGN.md §14) at the given width: networks registered after
-	// construction get evaluators built with query.WithParallel, and the
-	// admission dispatcher runs a round's per-version groups concurrently
-	// on up to ParallelEval replica slots. 0 (the default) keeps the
-	// historical serial tier; auto-width ("0 means GOMAXPROCS") is the
-	// flag layer's job — wmcsd resolves -parallel-eval 0 and passes the
-	// resolved width here.
-	ParallelEval int
 	// MaxBatchRequest caps the element count of one /v1/batch request
 	// (default 1024).
 	MaxBatchRequest int
@@ -118,14 +109,9 @@ func NewServer(reg *Registry, opts Options) *Server {
 		slow:   opts.SlowRequest,
 		boot:   time.Now(),
 	}
-	if opts.ParallelEval > 0 {
-		// Future registrations (POST /v1/networks) inherit the parallel
-		// tier; networks hosted before construction keep the tier their
-		// caller chose (wmcsd configures the registry before loading its
-		// manifest, so at the daemon every network is parallel).
-		reg.SetParallel(opts.ParallelEval)
-	}
-	s.batch = newBatcher(s.cache, s.stats, opts.Workers, opts.MaxBatch, opts.ParallelEval)
+	// The registry's width sizes the replica slots; it also builds every
+	// hosted evaluator, so one setting governs both.
+	s.batch = newBatcher(s.cache, s.stats, opts.Workers, opts.MaxBatch, reg.parallel())
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
@@ -223,8 +209,8 @@ type statszPayload struct {
 	InFlight       int64  `json:"in_flight"`
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
-	// ParallelEval is the configured intra-query parallel width (0 =
-	// serial tier); ReplicaRounds/ReplicaGroups count the dispatch
+	// ParallelEval is the evaluation width (Registry.SetParallel, 1 by
+	// default); ReplicaRounds/ReplicaGroups count the dispatch
 	// rounds whose groups ran concurrently on replica slots and the
 	// groups those rounds carried.
 	ParallelEval  int    `json:"parallel_eval"`
@@ -278,7 +264,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		InFlight:             s.stats.InFlight.Load(),
 		Batches:              s.stats.Batches.Load(),
 		BatchedQueries:       s.stats.BatchedQueries.Load(),
-		ParallelEval:         s.opts.ParallelEval,
+		ParallelEval:         s.batch.parallel,
 		ReplicaRounds:        s.stats.ReplicaRounds.Load(),
 		ReplicaGroups:        s.stats.ReplicaGroups.Load(),
 		Updates:              s.stats.Updates.Load(),
@@ -358,10 +344,6 @@ type mechInfo struct {
 	// Approx advertises a sampled Shapley tier: requests may carry an
 	// "approx" object and receive an (ε, δ) certificate.
 	Approx bool `json:"approx"`
-	// Parallel advertises the deterministic parallel evaluation tier
-	// (DESIGN.md §14): on a daemon booted with -parallel-eval this
-	// mechanism's heavy paths run on the engine pool, width-invariantly.
-	Parallel bool `json:"parallel"`
 
 	BudgetBalance     string `json:"budget_balance"` // "none" | "solution" | "optimum"
 	Beta              string `json:"beta,omitempty"` // declared factor, human form
@@ -387,7 +369,6 @@ func (s *Server) handleListMechanisms(w http.ResponseWriter, r *http.Request) {
 			PaperRef:          d.PaperRef,
 			Desc:              d.Desc,
 			Approx:            d.Approx,
-			Parallel:          d.Parallel,
 			BudgetBalance:     g.BB.String(),
 			Beta:              g.BetaLabel,
 			Strategyproofness: g.Strategyproofness.String(),

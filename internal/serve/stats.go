@@ -37,8 +37,8 @@ type Stats struct {
 	Batches        atomic.Uint64
 	BatchedQueries atomic.Uint64
 	// ReplicaRounds counts dispatch rounds whose groups ran concurrently
-	// on replica slots (Options.ParallelEval > 1 and more than one group
-	// in the round); ReplicaGroups the groups those rounds carried.
+	// on replica slots (an evaluation width above 1 and more than one
+	// group in the round); ReplicaGroups the groups those rounds carried.
 	ReplicaRounds atomic.Uint64
 	ReplicaGroups atomic.Uint64
 	// Updates counts applied PATCH deltas (version bumps; rejected,

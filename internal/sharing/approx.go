@@ -10,10 +10,10 @@ import (
 )
 
 // This file implements the approximate Shapley tier: sampled-permutation
-// estimation with an explicit Hoeffding certificate. The exact methods
-// (NewShapley, NewIncrementalShapley) enumerate 2^k subsets and encode
-// them as uint64 masks, which caps both the practical set size (~20) and
-// the universe (ShapleyAgentLimit). The sampled tier has neither cap:
+// estimation with an explicit Hoeffding certificate. The exact method
+// (NewShapley) enumerates 2^k subsets and encodes them as uint64 masks,
+// which caps both the practical set size (~20) and the universe
+// (ShapleyAgentLimit). The sampled tier has neither cap:
 // subsets are keyed by canonical byte strings, and the work is m·k oracle
 // calls for m sampled permutations — with a persistent subset-cost memo,
 // so permutations sharing prefixes, repeated queries, and Moulin–Shenker

@@ -3,8 +3,6 @@ package sharing
 import (
 	"errors"
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -165,9 +163,6 @@ func TestShapleyAgentLimit(t *testing.T) {
 	if lim.N != 65 || lim.Limit != ShapleyAgentLimit {
 		t.Errorf("error reports N=%d Limit=%d, want 65/%d", lim.N, lim.Limit, ShapleyAgentLimit)
 	}
-	if _, err := NewIncrementalShapleyChecked(agents, cost); !errors.As(err, &lim) {
-		t.Errorf("NewIncrementalShapleyChecked(65 agents) = %v, want *AgentLimitError", err)
-	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -195,116 +190,5 @@ func TestShapleyAgentLimit(t *testing.T) {
 	}
 	if cert.Epsilon <= 0 {
 		t.Errorf("cert epsilon %g", cert.Epsilon)
-	}
-}
-
-// TestIncrementalShapleyMatchesExactBytes is the package-level
-// differential: on oracles that are exactly null invariant, the
-// incremental evaluator must reproduce Shapley.Shares bit for bit —
-// across overlapping receiver sets, repeated calls, and null agents —
-// while actually pruning oracle work.
-func TestIncrementalShapleyMatchesExactBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
-		n := 4 + rng.Intn(6)
-		c := make([]float64, n)
-		agents := make([]int, n)
-		zeros := 0
-		for i := range c {
-			agents[i] = i
-			if rng.Intn(3) > 0 {
-				c[i] = 0.5 + math.Round(rng.Float64()*8)/2
-			} else {
-				zeros++ // exact zero singleton: a null agent
-			}
-		}
-		cost := airportCost(c)
-		exact := NewShapley(agents, cost)
-		inc := NewIncrementalShapley(agents, cost)
-		// A sequence of overlapping subsets, repeated, as Moulin–Shenker
-		// rounds would produce.
-		var queries [][]int
-		queries = append(queries, agents)
-		for q := 0; q < 6; q++ {
-			var R []int
-			for _, a := range agents {
-				if rng.Intn(3) > 0 {
-					R = append(R, a)
-				}
-			}
-			queries = append(queries, R, R)
-		}
-		for _, R := range queries {
-			want := exact.Shares(R)
-			got := inc.Shares(R)
-			if len(want) != len(got) {
-				t.Fatalf("trial %d R=%v: %d shares vs %d", trial, R, len(got), len(want))
-			}
-			for i, w := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(w) {
-					t.Fatalf("trial %d R=%v agent %d: %x (incremental) != %x (exact)",
-						trial, R, i, math.Float64bits(got[i]), math.Float64bits(w))
-				}
-			}
-		}
-		if zeros > 0 && inc.Queries >= exactQueries(exact) {
-			t.Errorf("trial %d: incremental made %d oracle calls, exact made %d — no pruning despite %d null agents",
-				trial, inc.Queries, exactQueries(exact), zeros)
-		}
-		if inc.Queries > exactQueries(exact) {
-			t.Errorf("trial %d: incremental made %d oracle calls, exact only %d",
-				trial, inc.Queries, exactQueries(exact))
-		}
-	}
-}
-
-// exactQueries counts the distinct subsets the exact method evaluated.
-func exactQueries(s *Shapley) int { return len(s.cache) }
-
-// TestIncrementalShapleyCrossCallReuse pins the incremental claim
-// itself: re-evaluating an already-seen receiver set must cost zero new
-// oracle calls, and a subset of a seen set must only pay for its fresh
-// subsets.
-func TestIncrementalShapleyCrossCallReuse(t *testing.T) {
-	agents := []int{0, 1, 2, 3, 4, 5}
-	inc := NewIncrementalShapley(agents, airportCost([]float64{1, 2, 3, 4, 5, 6}))
-	inc.Shares(agents)
-	q0 := inc.Queries
-	inc.Shares(agents)
-	if inc.Queries != q0 {
-		t.Errorf("repeat evaluation made %d fresh oracle calls", inc.Queries-q0)
-	}
-	inc.Shares([]int{0, 2, 4})
-	if inc.Queries != q0 {
-		t.Errorf("subset of a seen set made %d fresh oracle calls", inc.Queries-q0)
-	}
-}
-
-// TestIncrementalShapleyNullAgentsPruned quantifies the submodular
-// prune: with z exact-zero singletons in a k-set, the distinct oracle
-// subsets collapse from 2^k−1 to 2^(k−z)−1.
-func TestIncrementalShapleyNullAgentsPruned(t *testing.T) {
-	c := []float64{3, 0, 5, 0, 0, 2, 1, 0} // four null agents
-	agents := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	inc := NewIncrementalShapley(agents, airportCost(c))
-	inc.Shares(agents)
-	// 2^4−1 subsets of the nonzero sub-universe, plus one discovery call
-	// per null singleton (the call that observes the exact zero).
-	want := 1<<4 - 1 + 4
-	if inc.Queries != want {
-		t.Errorf("oracle calls = %d, want %d (2^4−1 + 4 discoveries)", inc.Queries, want)
-	}
-	// And the shares still match the exact method bit for bit.
-	want2 := NewShapley(agents, airportCost(c)).Shares(agents)
-	got := inc.Shares(agents)
-	keys := make([]int, 0, len(want2))
-	for i := range want2 {
-		keys = append(keys, i)
-	}
-	sort.Ints(keys)
-	for _, i := range keys {
-		if math.Float64bits(got[i]) != math.Float64bits(want2[i]) {
-			t.Fatalf("agent %d: %g != %g", i, got[i], want2[i])
-		}
 	}
 }

@@ -1,9 +1,6 @@
 package sharing
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Incremental is the marginal-vector ("incremental") cost-sharing method
 // of Moulin–Shenker [37]: fix a priority order over the agents; each
@@ -50,179 +47,6 @@ func (inc *Incremental) Shares(R []int) map[int]float64 {
 		c := inc.cost(prefix)
 		shares[i] = c - prev
 		prev = c
-	}
-	return shares
-}
-
-// IncrementalShapley is the exact Shapley method of NewShapley with the
-// cost-query side made incremental: one persistent memo table shared
-// across every Shares call (Moulin–Shenker rounds, overlapping receiver
-// sets, deviation probes all reuse each other's subset evaluations), and
-// a null-agent canonicalization that exploits submodularity to prune
-// cost queries whose answer cannot change.
-//
-// The canonicalization: once an agent's singleton cost is observed to be
-// exactly +0, monotonicity and submodularity force C(Q ∪ {i}) = C(Q) for
-// every Q, so the agent's bit is cleared from every subsequent cost query
-// and its marginals — exactly zero — are never recomputed. Byte-identity
-// with NewShapley therefore requires the oracle to be *exactly null
-// invariant*: a zero-singleton agent must never perturb the returned
-// float, not even in the last bit. Set-determined oracles built from the
-// paper's cost models (tree weights, power maxima) have this property —
-// adding a zero-power receiver changes no sum term — and the differential
-// sweep in the tests pins it per mechanism; for an oracle without the
-// property, use NewShapley.
-//
-// The enumeration itself — subset order, weight arithmetic, accumulation
-// order — is kept identical to Shapley.Shares, so the produced shares are
-// byte-identical, just cheaper: 2^k oracle sets shrink to 2^(k−z) for z
-// null agents, and repeated/overlapping calls shrink to their fresh
-// subsets only.
-type IncrementalShapley struct {
-	agents []int
-	bit    map[int]uint
-	cost   CostFunc
-	cache  map[uint64]float64
-	fact   []float64
-	// zeroMask accumulates universe bits whose singleton cost was
-	// observed to be exactly +0 — the null agents.
-	zeroMask uint64
-	// singletonSeen marks universe bits whose singleton cost has been
-	// evaluated, so zeroMask only reflects observed facts.
-	singletonSeen uint64
-	// Queries and Hits count oracle calls and memo hits (observability:
-	// the differential tests assert the pruning actually pruned).
-	Queries, Hits int
-}
-
-// NewIncrementalShapley builds the incremental evaluator over a fixed
-// agent universe. Like NewShapley it is capped at ShapleyAgentLimit
-// agents; NewIncrementalShapleyChecked returns the typed error instead.
-func NewIncrementalShapley(agents []int, cost CostFunc) *IncrementalShapley {
-	s, err := NewIncrementalShapleyChecked(agents, cost)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
-// NewIncrementalShapleyChecked is NewIncrementalShapley with the agent
-// cap reported as *AgentLimitError.
-func NewIncrementalShapleyChecked(agents []int, cost CostFunc) (*IncrementalShapley, error) {
-	if len(agents) > ShapleyAgentLimit {
-		return nil, &AgentLimitError{N: len(agents), Limit: ShapleyAgentLimit}
-	}
-	s := &IncrementalShapley{
-		agents: append([]int(nil), agents...),
-		bit:    make(map[int]uint, len(agents)),
-		cost:   cost,
-		cache:  map[uint64]float64{},
-		fact:   make([]float64, len(agents)+2),
-	}
-	sort.Ints(s.agents)
-	for idx, a := range s.agents {
-		s.bit[a] = uint(idx)
-	}
-	s.fact[0] = 1
-	for i := 1; i < len(s.fact); i++ {
-		s.fact[i] = s.fact[i-1] * float64(i)
-	}
-	return s, nil
-}
-
-// costOf returns C of the subset encoded by mask, canonicalized past
-// known null agents and memoized.
-func (s *IncrementalShapley) costOf(mask uint64) float64 {
-	mask &^= s.zeroMask
-	if mask == 0 {
-		return 0
-	}
-	if c, ok := s.cache[mask]; ok {
-		s.Hits++
-		return c
-	}
-	var R []int
-	for idx, a := range s.agents {
-		if mask&(1<<uint(idx)) != 0 {
-			R = append(R, a)
-		}
-	}
-	s.Queries++
-	c := s.cost(R)
-	s.cache[mask] = c
-	if len(R) == 1 {
-		bit := uint64(1) << s.bit[R[0]]
-		s.singletonSeen |= bit
-		if c == 0 {
-			s.zeroMask |= bit
-		}
-	}
-	return c
-}
-
-// Shares implements Method, byte-identical to Shapley.Shares over an
-// exactly null-invariant oracle. It panics if |R| > 20.
-func (s *IncrementalShapley) Shares(R []int) map[int]float64 {
-	k := len(R)
-	if k == 0 {
-		return map[int]float64{}
-	}
-	if k > 20 {
-		panic(fmt.Sprintf("sharing: Shapley.Shares limited to 20 agents, got %d", k))
-	}
-	full := uint64(0)
-	local := make([]uint64, k)
-	for i, a := range R {
-		b, ok := s.bit[a]
-		if !ok {
-			panic(fmt.Sprintf("sharing: agent %d not in universe", a))
-		}
-		local[i] = 1 << b
-		full |= local[i]
-	}
-	// Seed the null set before enumerating: every singleton of R is
-	// queried up front (the enumeration would reach each of them anyway,
-	// so this adds no oracle calls), after which canonicalization covers
-	// all of R's null agents, not just ones discovered mid-enumeration.
-	for i := 0; i < k; i++ {
-		s.costOf(local[i])
-	}
-	shares := make(map[int]float64, k)
-	kf := s.fact[k]
-	for lm := uint64(0); lm < 1<<uint(k); lm++ {
-		var qMask uint64
-		qSize := 0
-		for i := 0; i < k; i++ {
-			if lm&(1<<uint(i)) != 0 {
-				qMask |= local[i]
-				qSize++
-			}
-		}
-		if qSize == k {
-			continue
-		}
-		w := s.fact[qSize] * s.fact[k-qSize-1] / kf
-		cq := s.costOf(qMask)
-		for i := 0; i < k; i++ {
-			if lm&(1<<uint(i)) != 0 {
-				continue // i ∈ Q
-			}
-			if local[i]&s.zeroMask != 0 {
-				// Null agent: marginal is exactly +0 and adding w·0 to a
-				// nonnegative share is a bitwise no-op, so skipping the
-				// accumulation preserves byte-identity.
-				continue
-			}
-			marginal := s.costOf(qMask|local[i]) - cq
-			shares[R[i]] += w * marginal
-		}
-	}
-	// Null members still own their (exactly zero) entries in the result,
-	// as they would under plain enumeration.
-	for i := 0; i < k; i++ {
-		if _, ok := shares[R[i]]; !ok {
-			shares[R[i]] = 0
-		}
 	}
 	return shares
 }

@@ -10,6 +10,7 @@ package sharing
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -35,7 +36,8 @@ type MethodFunc func(R []int) map[int]float64
 func (f MethodFunc) Shares(R []int) map[int]float64 { return f(R) }
 
 // Shapley is the exact Shapley-value cost-sharing method for an arbitrary
-// cost oracle, computed by subset enumeration with memoized cost queries:
+// cost oracle, computed by subset enumeration over a flat table of
+// memoized cost queries:
 //
 //	φ(R, i) = Σ_{Q ⊆ R\{i}} |Q|!(|R|−|Q|−1)!/|R|! · (C(Q∪{i}) − C(Q)).
 //
@@ -104,27 +106,43 @@ func NewShapley(agents []int, cost CostFunc) *Shapley {
 	return s
 }
 
-// costOf returns C of the subset encoded by mask, memoized.
-func (s *Shapley) costOf(mask uint64) float64 {
-	if mask == 0 {
-		return 0
+// shapleyBlockBits bounds the number of enumeration blocks the exact
+// method partitions 2^k subsets into: 2^min(k,shapleyBlockBits)
+// contiguous blocks. 64 blocks keeps the fixed merge cheap while leaving
+// enough cells to feed any realistic pool width; the count is a function
+// of k alone, never of the pool, which is what makes the reduction
+// width-stable.
+const shapleyBlockBits = 6
+
+// shapleyBlocks returns the fixed (blockCount, blockSize) partition of
+// the 2^k local-mask space. blockSize·blockCount == 2^k exactly (both
+// are powers of two).
+func shapleyBlocks(k int) (count, size uint64) {
+	bb := shapleyBlockBits
+	if k < bb {
+		bb = k
 	}
-	if c, ok := s.cache[mask]; ok {
-		return c
-	}
-	var R []int
-	for idx, a := range s.agents {
-		if mask&(1<<uint(idx)) != 0 {
-			R = append(R, a)
-		}
-	}
-	c := s.cost(R)
-	s.cache[mask] = c
-	return c
+	count = 1 << uint(bb)
+	size = (uint64(1) << uint(k)) / count
+	return count, size
 }
 
-// Shares implements Method. It panics if |R| > 20 (2^|R| enumeration).
-func (s *Shapley) Shares(R []int) map[int]float64 {
+// Shares implements Method: SharesParallel at width 1.
+func (s *Shapley) Shares(R []int) map[int]float64 { return s.SharesParallel(R, nil) }
+
+// SharesParallel computes exact Shapley shares of R with the subset
+// enumeration partitioned into the fixed blocks of shapleyBlocks and
+// evaluated by the pool's workers. Phase 1 fills a flat cost table
+// (one entry per local subset mask, each computed exactly once, warm
+// ones read from the cross-call memo); phase 2 accumulates one partial
+// share vector per block and folds them in block order. A nil or
+// width-1 pool runs the identical blocked reduction serially, so the
+// result is byte-identical at every width.
+//
+// The cost oracle must be safe for concurrent calls when the pool is
+// wider than 1 (the oracles in this repo are pure functions). The
+// method panics for |R| > 20 (2^|R| enumeration).
+func (s *Shapley) SharesParallel(R []int, pool *engine.Pool) map[int]float64 {
 	k := len(R)
 	if k == 0 {
 		return map[int]float64{}
@@ -132,8 +150,6 @@ func (s *Shapley) Shares(R []int) map[int]float64 {
 	if k > 20 {
 		panic(fmt.Sprintf("sharing: Shapley.Shares limited to 20 agents, got %d", k))
 	}
-	// Local bit positions within R for subset enumeration.
-	full := uint64(0)
 	local := make([]uint64, k) // local[i] = universe mask bit of R[i]
 	for i, a := range R {
 		b, ok := s.bit[a]
@@ -141,32 +157,94 @@ func (s *Shapley) Shares(R []int) map[int]float64 {
 			panic(fmt.Sprintf("sharing: agent %d not in universe", a))
 		}
 		local[i] = 1 << b
-		full |= local[i]
+	}
+	nBlocks, blockSize := shapleyBlocks(k)
+
+	// Phase 1: the subset-cost table, tab[lm] = C(Q(lm)) for every local
+	// mask lm. Each entry is written by exactly one block task, and its
+	// value depends only on the (deterministic) oracle — never on
+	// scheduling. Warm entries come from the cross-call memo, which is
+	// read-only for the duration of the parallel section.
+	tab := make([]float64, uint64(1)<<uint(k))
+	cold := len(s.cache) == 0 // no memo to consult — skip the per-mask probes
+	engine.Map(pool, int(nBlocks), func(b int) struct{} {
+		members := make([]int, 0, k)
+		lo, hi := uint64(b)*blockSize, (uint64(b)+1)*blockSize
+		for lm := lo; lm < hi; lm++ {
+			if lm == 0 {
+				continue // C(∅) = 0, tab already zero
+			}
+			var gm uint64
+			for t := lm; t != 0; t &= t - 1 { // walk set bits only
+				gm |= local[bits.TrailingZeros64(t)]
+			}
+			if !cold {
+				if c, ok := s.cache[gm]; ok {
+					tab[lm] = c
+					continue
+				}
+			}
+			members = members[:0]
+			for t := gm; t != 0; t &= t - 1 {
+				members = append(members, s.agents[bits.TrailingZeros64(t)])
+			}
+			tab[lm] = s.cost(members)
+		}
+		return struct{}{}
+	})
+	// Publish the misses back into the cross-call memo so later rounds
+	// (Moulin–Shenker shrinks R between calls) reuse them. Serial, in
+	// ascending mask order: deterministic content either way (the oracle
+	// is a function), but keeping one writer keeps the map honest. On a
+	// cold memo the map is pre-sized (lm↔gm is a bijection, so every
+	// entry is fresh) and inserted without probes; rehash-free growth is
+	// a measurable share of the whole call at k = 18.
+	if cold {
+		s.cache = make(map[uint64]float64, uint64(1)<<uint(k))
+	}
+	for lm := uint64(1); lm < uint64(1)<<uint(k); lm++ {
+		var gm uint64
+		for t := lm; t != 0; t &= t - 1 {
+			gm |= local[bits.TrailingZeros64(t)]
+		}
+		if cold {
+			s.cache[gm] = tab[lm]
+		} else if _, ok := s.cache[gm]; !ok {
+			s.cache[gm] = tab[lm]
+		}
+	}
+
+	// Phase 2: per-block partial share vectors over the flat table.
+	kf := s.fact[k]
+	fullLM := (uint64(1) << uint(k)) - 1
+	parts := engine.Map(pool, int(nBlocks), func(b int) []float64 {
+		part := make([]float64, k)
+		lo, hi := uint64(b)*blockSize, (uint64(b)+1)*blockSize
+		for lm := lo; lm < hi; lm++ {
+			qSize := bits.OnesCount64(lm)
+			if qSize == k {
+				continue
+			}
+			w := s.fact[qSize] * s.fact[k-qSize-1] / kf
+			cq := tab[lm]
+			for t := fullLM &^ lm; t != 0; t &= t - 1 { // i ∉ Q, ascending
+				i := bits.TrailingZeros64(t)
+				part[i] += w * (tab[lm|1<<uint(i)] - cq)
+			}
+		}
+		return part
+	})
+	// Fixed-order merge: fold the partials in block order, then bind to
+	// agent ids. The fold order is part of the determinism contract.
+	sums := make([]float64, k)
+	for _, part := range parts {
+		for i := 0; i < k; i++ {
+			sums[i] += part[i]
+		}
 	}
 	shares := make(map[int]float64, k)
-	// Enumerate subsets Q of R by local mask; weight depends on |Q|.
-	kf := s.fact[k]
-	for lm := uint64(0); lm < 1<<uint(k); lm++ {
-		var qMask uint64
-		qSize := 0
-		for i := 0; i < k; i++ {
-			if lm&(1<<uint(i)) != 0 {
-				qMask |= local[i]
-				qSize++
-			}
-		}
-		if qSize == k {
-			continue
-		}
-		w := s.fact[qSize] * s.fact[k-qSize-1] / kf
-		cq := s.costOf(qMask)
-		for i := 0; i < k; i++ {
-			if lm&(1<<uint(i)) != 0 {
-				continue // i ∈ Q
-			}
-			marginal := s.costOf(qMask|local[i]) - cq
-			shares[R[i]] += w * marginal
-		}
+	for i, a := range R {
+		shares[a] = sums[i]
 	}
 	return shares
 }
@@ -312,24 +390,6 @@ type MechanismFromMethod struct {
 	AgentSet []int
 	Xi       Method
 	Cost     CostFunc
-	// Pool, when non-nil, routes every evaluation through the parallel
-	// tier (DESIGN.md §14): exact Shapley methods run the blocked
-	// SharesParallel reduction and the approximate tier runs the
-	// stream-sharded SharesCertParallel. nil keeps the historical serial
-	// paths byte-for-byte.
-	Pool *engine.Pool
-}
-
-// xi returns the method the Moulin–Shenker rounds evaluate: Xi itself,
-// or its parallel adapter when a pool is configured and Xi is the exact
-// Shapley method (closed-form methods have nothing to parallelize).
-func (m *MechanismFromMethod) xi() Method {
-	if m.Pool != nil {
-		if sh, ok := m.Xi.(*Shapley); ok {
-			return &ParallelMethod{Exact: sh, Pool: m.Pool}
-		}
-	}
-	return m.Xi
 }
 
 // Name implements mech.Mechanism.
@@ -340,7 +400,7 @@ func (m *MechanismFromMethod) Agents() []int { return m.AgentSet }
 
 // Run implements mech.Mechanism.
 func (m *MechanismFromMethod) Run(u mech.Profile) mech.Outcome {
-	res := MoulinShenker(m.AgentSet, m.xi(), u)
+	res := MoulinShenker(m.AgentSet, m.Xi, u)
 	return mech.Outcome{
 		Receivers: res.Receivers,
 		Shares:    res.Shares,
@@ -363,21 +423,11 @@ func (m *MechanismFromMethod) RunApprox(u mech.Profile, spec mech.ApproxSpec) (m
 	if err != nil {
 		return mech.Outcome{}, mech.ApproxCert{}, err
 	}
-	var res MoulinShenkerResult
-	var cert ApproxCert
-	if m.Pool != nil {
-		// Parallel tier: every round — and the final certificate — runs
-		// the stream-sharded estimator, which is deterministic at any
-		// pool width (DESIGN.md §14).
-		res = MoulinShenker(m.AgentSet, &ParallelMethod{Sampled: s, Pool: m.Pool}, u)
-		_, cert = s.SharesCertParallel(res.Receivers, m.Pool)
-	} else {
-		res = MoulinShenker(m.AgentSet, s, u)
-		// The final round's certificate: SharesCert on the surviving set
-		// replays the identical permutation stream against a warm memo, so
-		// this costs no fresh oracle calls.
-		_, cert = s.SharesCert(res.Receivers)
-	}
+	res := MoulinShenker(m.AgentSet, s, u)
+	// The final round's certificate: SharesCert on the surviving set
+	// replays the identical permutation stream against a warm memo, so
+	// this costs no fresh oracle calls.
+	_, cert := s.SharesCert(res.Receivers)
 	return mech.Outcome{
 		Receivers: res.Receivers,
 		Shares:    res.Shares,
