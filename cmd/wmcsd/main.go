@@ -1,14 +1,14 @@
 // Command wmcsd is the wireless multicast cost-sharing daemon: it hosts
 // a registry of named networks (each backed by one shared query
 // evaluator) and serves per-receiver-set cost-sharing queries over HTTP
-// with canonicalized result caching, singleflight coalescing and
-// admission batching (see DESIGN.md §8).
+// with canonicalized result caching, singleflight coalescing and a bound
+// of -parallel-eval concurrent evaluations (see DESIGN.md §8).
 //
 // Usage:
 //
 //	wmcsd                                  # demo networks on :8571
 //	wmcsd -addr :9000 -manifest nets.json  # a startup manifest of scenario specs
-//	wmcsd -cache 65536 -workers 8          # bigger cache, wider engine pool
+//	wmcsd -cache 65536 -parallel-eval 4    # bigger cache, four concurrent evaluations
 //	wmcsd -log json -slow 100ms            # JSON logs, 100ms slow threshold
 //	wmcsd -pprof 127.0.0.1:6060            # net/http/pprof on a separate loopback listener
 //
@@ -42,9 +42,7 @@ func main() {
 		manifest   = flag.String("manifest", "", "startup manifest: JSON array of scenario specs (default: a demo set)")
 		cache      = flag.Int("cache", serve.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
 		shards     = flag.Int("shards", 0, "result-cache shard count (0 = default 16)")
-		workers    = flag.Int("workers", 0, "engine-pool width per evaluation batch: 1 = serial, 0 = GOMAXPROCS")
-		parEval    = flag.Int("parallel-eval", 1, "evaluation width: wireless-bb spider-oracle scans and replica slots (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
-		maxbatch   = flag.Int("maxbatch", 0, "max queries per admission batch (0 = default 64)")
+		parEval    = flag.Int("parallel-eval", 1, "evaluation width: wireless-bb spider-oracle scans and concurrent evaluations (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 		logFormat  = flag.String("log", "text", "log format: text or json")
 		slow       = flag.Duration("slow", serve.DefaultSlowRequest, "slow-request threshold: OK responses at or above it are logged and counted (negative disables)")
@@ -135,8 +133,6 @@ func main() {
 	srv := serve.NewServer(reg, serve.Options{
 		CacheCapacity: cacheCap,
 		CacheShards:   *shards,
-		Workers:       *workers,
-		MaxBatch:      *maxbatch,
 		Logger:        logger,
 		SlowRequest:   slowThreshold,
 		SlowTraces:    ringSize,

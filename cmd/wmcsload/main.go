@@ -362,8 +362,7 @@ func ensureNetworks(baseURL string, specs []instances.Spec) error {
 type statszDoc struct {
 	Queries        uint64 `json:"queries"`
 	Coalesced      uint64 `json:"coalesced"`
-	Batches        uint64 `json:"batches"`
-	BatchedQueries uint64 `json:"batched_queries"`
+	BatchedQueries uint64 `json:"batched_queries"` // evaluations the server ran
 	Updates        uint64 `json:"updates"`
 	UpdateOps      uint64 `json:"update_ops"`
 	Cache          struct {
@@ -632,18 +631,12 @@ func report(run loadResult, before, after statszDoc, jsonOut bool, meta reportMe
 	dHits := after.Cache.Hits - before.Cache.Hits
 	dQueries := after.Queries - before.Queries
 	dCoalesced := after.Coalesced - before.Coalesced
-	dBatches := after.Batches - before.Batches
-	dBatched := after.BatchedQueries - before.BatchedQueries
 	hitRate := 0.0
 	if dQueries > 0 {
 		hitRate = float64(dHits) / float64(dQueries)
 	}
-	batchFactor := 0.0
-	if dBatches > 0 {
-		batchFactor = float64(dBatched) / float64(dBatches)
-	}
-	tab.Note("server: %d queries, %d cache hits (hit rate %.1f%%), %d coalesced, %d evaluations in %d batches (%.2f per batch)",
-		dQueries, dHits, 100*hitRate, dCoalesced, dBatched, dBatches, batchFactor)
+	tab.Note("server: %d queries, %d cache hits (hit rate %.1f%%), %d coalesced, %d evaluations",
+		dQueries, dHits, 100*hitRate, dCoalesced, after.BatchedQueries-before.BatchedQueries)
 	if meta.churn != nil {
 		meta.churn.report(tab)
 		tab.Note("server: %d updates applied (%d ops); generation-bumped in place, no evict/re-register",

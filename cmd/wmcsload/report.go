@@ -18,7 +18,7 @@ import (
 // queue-wait share, which divides the run's growth of
 // wmcs_stage_duration_seconds_sum{stage="queue_wait"} by the growth of
 // wmcs_request_duration_seconds_sum summed over mechanisms: the
-// fraction of total service time spent parked in the admission queue.
+// fraction of total service time spent waiting for a compute slot.
 
 // mechReport is one mechanism's row of the JSON report.
 type mechReport struct {
@@ -58,8 +58,6 @@ type runReportDoc struct {
 	CacheHits     uint64  `json:"cache_hits"`
 	HitRate       float64 `json:"hit_rate"`
 	Coalesced     uint64  `json:"coalesced"`
-	Batches       uint64  `json:"batches"`
-	BatchFactor   float64 `json:"batch_factor"`
 
 	// Byte-identity verification outcome.
 	Distinct   int `json:"distinct_queries"`
@@ -119,7 +117,6 @@ func buildRunReport(run loadResult, meta reportMeta, before, after statszDoc, mB
 		ServerQueries: after.Queries - before.Queries,
 		CacheHits:     after.Cache.Hits - before.Cache.Hits,
 		Coalesced:     after.Coalesced - before.Coalesced,
-		Batches:       after.Batches - before.Batches,
 
 		Distinct:   run.distinct,
 		Compared:   run.compared,
@@ -134,9 +131,6 @@ func buildRunReport(run loadResult, meta reportMeta, before, after statszDoc, mB
 	}
 	if doc.ServerQueries > 0 {
 		doc.HitRate = float64(doc.CacheHits) / float64(doc.ServerQueries)
-	}
-	if doc.Batches > 0 {
-		doc.BatchFactor = float64(after.BatchedQueries-before.BatchedQueries) / float64(doc.Batches)
 	}
 	for name, ms := range run.perMech {
 		if ms.count == 0 {

@@ -37,15 +37,14 @@ const (
 	// StageCoalesce covers a follower's wait on another caller's
 	// identical in-flight computation (singleflight).
 	StageCoalesce
-	// StageQueueWait covers enqueue → dispatcher drain in the admission
-	// batcher.
+	// StageQueueWait covers a cache-miss leader's wait for a compute
+	// slot.
 	StageQueueWait
-	// StageEvaluate covers the whole dispatch round's EvaluateBatch wall
-	// time (shared by every request in the round's group).
+	// StageEvaluate covers the leader's evaluation call.
 	StageEvaluate
-	// StageCompute is this request's own evaluation inside the batch —
-	// nested within StageEvaluate, with its start aligned to the batch
-	// start (only its duration is per-request).
+	// StageCompute is this request's own evaluation, nested within
+	// StageEvaluate; with one request per evaluation the two spans
+	// coincide.
 	StageCompute
 	// StageEncode covers outcome → canonical response bytes.
 	StageEncode
@@ -55,12 +54,6 @@ const (
 	StageCarryForward
 	// StagePurge covers a PATCH's retired-prefix cache purge.
 	StagePurge
-	// StageParallelEvaluate covers a dispatch round's concurrent group
-	// window when replica slots are enabled (an evaluation width above 1):
-	// from the round's start to the moment this task's group finished
-	// evaluating on its slot — slot wait included, so the span widening
-	// past StageEvaluate is the cost of slot contention.
-	StageParallelEvaluate
 	// NumStages bounds Stage values (array sizing).
 	NumStages
 )
@@ -68,7 +61,6 @@ const (
 var stageNames = [NumStages]string{
 	"admission", "canonicalize", "cache_lookup", "coalesce", "queue_wait",
 	"evaluate", "compute", "encode", "rebuild", "carry_forward", "purge",
-	"parallel_evaluate",
 }
 
 // String returns the stage's stable wire name.

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"wmcs/internal/engine"
 	"wmcs/internal/mech"
@@ -265,7 +264,7 @@ func restrict(u mech.Profile, R []int) mech.Profile {
 	return v
 }
 
-// Request is one EvaluateBatch query.
+// Request is one EvaluateOne or EvaluateBatch query.
 type Request struct {
 	Mech    string       // registry mechanism name
 	R       []int        // candidate receiver set; nil = all stations
@@ -294,30 +293,14 @@ type Response struct {
 func (e *Evaluator) EvaluateBatch(reqs []Request, workers int) []Response {
 	pool := engine.New(workers)
 	return engine.Map(pool, len(reqs), func(i int) Response {
-		return e.evalOne(reqs[i])
+		return e.EvaluateOne(reqs[i])
 	})
 }
 
-// EvaluateBatchTimed is EvaluateBatch plus per-request timing: durs[i]
-// is how long request i's own evaluation took on its worker — the
-// serving layer's per-stage attribution hook (the batch's total wall
-// time is the caller's to measure around the call). Timing reads the
-// clock twice per request and never influences the result bytes, so
-// the determinism contract of EvaluateBatch carries over unchanged.
-func (e *Evaluator) EvaluateBatchTimed(reqs []Request, workers int) ([]Response, []time.Duration) {
-	durs := make([]time.Duration, len(reqs))
-	pool := engine.New(workers)
-	resps := engine.Map(pool, len(reqs), func(i int) Response {
-		start := time.Now() //lint:wallclock per-element latency telemetry for serve's stage attribution; never reaches response bytes
-		r := e.evalOne(reqs[i])
-		durs[i] = time.Since(start) //lint:wallclock per-element latency telemetry for serve's stage attribution; never reaches response bytes
-		return r
-	})
-	return resps, durs
-}
-
-// evalOne dispatches one batch element to the exact or sampled tier.
-func (e *Evaluator) evalOne(req Request) Response {
+// EvaluateOne evaluates one request on the exact or the sampled tier:
+// the single-request entry point the serving layer calls per cache miss,
+// and what EvaluateBatch maps over its requests.
+func (e *Evaluator) EvaluateOne(req Request) Response {
 	if spec := req.Approx; spec != nil {
 		o, cert, err := e.EvaluateApprox(req.Mech, req.R, req.Profile, *spec)
 		if err != nil {

@@ -168,7 +168,7 @@ func FuzzCanonicalizeApprox(f *testing.F) {
 // certificate in the body, replays byte-identically from the cache, and
 // never collides with the exact result for the same profile.
 func TestEvaluateApproxEndToEnd(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
+	s := newTestServer(t, Options{})
 	profile := profileFor(10, 0, 7)
 	exactReq := EvalRequest{Network: "uni", Mech: mechreg.UniversalShapley, Profile: profile}
 	approxReq := exactReq

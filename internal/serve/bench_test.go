@@ -18,7 +18,7 @@ func BenchmarkServeHotSet(b *testing.B) {
 		b.Fatal(err)
 	}
 	entry, _ := reg.Get("bench")
-	s := NewServer(reg, Options{Workers: 1})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 
 	w, err := instances.WorkloadByName("hotset")

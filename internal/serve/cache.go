@@ -159,9 +159,9 @@ func (c *Cache) KeysWithPrefix(prefix string, limit int) []string {
 	return out
 }
 
-// Delete drops one key, reporting whether it was present. The batcher
-// uses it to un-cache a result it stored for an entry that was evicted
-// mid-evaluation (see runGroup).
+// Delete drops one key, reporting whether it was present. A flight
+// leader uses it to un-cache a result it stored for an entry that was
+// evicted or updated mid-evaluation (see Server.compute).
 func (c *Cache) Delete(key string) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()

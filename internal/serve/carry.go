@@ -55,7 +55,7 @@ func (s *Server) carryForward(entry *NetworkEntry, res query.UpdateResult) int {
 		}
 		newKey := newPrefix + canon
 		s.cache.Put(newKey, body)
-		// Same stranded-entry discipline as the batcher's runGroup: if
+		// Same stranded-entry discipline as Server.compute: if
 		// the entry was evicted — or updated *again* — while we carried,
 		// our Put may have landed after that successor's purge of our
 		// prefix, stranding an unreachable entry in LRU capacity.

@@ -35,7 +35,7 @@ func TestPatchNoOpRetiresNothing(t *testing.T) {
 	if err := reg.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 	entry, _ := reg.Get("noop")
 	req := EvalRequest{Network: "noop", Mech: "universal-shapley", Profile: profileFor(8, 0, 5)}
@@ -74,7 +74,7 @@ func TestPatchUnchangedCarriesEverything(t *testing.T) {
 	if err := reg.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 	wire := profileFor(8, 0, 7)
 	reqs := []EvalRequest{
@@ -124,7 +124,7 @@ func TestPatchCarryAlpha1ShapleyPredicate(t *testing.T) {
 	if err := reg.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 	entry, _ := reg.Get("a1")
 	const moved = 4

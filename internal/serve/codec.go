@@ -2,9 +2,9 @@
 // engine (DESIGN.md §8): a registry of named networks each backed by one
 // shared query.Evaluator, a canonicalizing request codec feeding a
 // sharded LRU result cache, singleflight coalescing of concurrent
-// identical queries, admission batching of distinct ones onto the engine
-// pool, and a stdlib net/http JSON surface (/v1/networks, /v1/evaluate,
-// /v1/batch, /healthz, /statsz).
+// identical queries, a compute-slot bound on concurrent evaluations of
+// distinct ones, and a stdlib net/http JSON surface (/v1/networks,
+// /v1/evaluate, /v1/batch, /healthz, /statsz).
 //
 // The load-bearing invariant is byte-identity: a query's HTTP response
 // body is the same byte string whether it was computed cold, replayed
@@ -264,8 +264,8 @@ type AgentShare struct {
 // sorted by agent id, floats in Go's shortest round-trip decimal form.
 // These exact bytes are what the cache stores and replays. An outcome
 // json.Marshal cannot represent (a NaN or Inf share out of a mechanism)
-// is an error, not a panic: the caller runs on the admission
-// dispatcher, where a panic would take down the whole daemon.
+// is an error, not a panic, so the caller can answer it as a server
+// fault (500) without relying on a recover.
 func EncodeOutcome(network, mechName string, o mech.Outcome) ([]byte, error) {
 	return EncodeOutcomeCert(network, mechName, o, nil)
 }

@@ -121,7 +121,7 @@ func TestEncodeOutcomeDeterministic(t *testing.T) {
 		t.Fatalf("empty outcome encoded null: %s", e)
 	}
 	// An unrepresentable outcome is an error, never a panic: the caller
-	// is the admission dispatcher, which must survive it.
+	// answers it as a 500.
 	if _, err := EncodeOutcome("net", "jv-moat", mech.Outcome{Shares: map[int]float64{0: nan()}}); err == nil {
 		t.Fatal("NaN share encoded without error")
 	}

@@ -20,7 +20,7 @@ import (
 // carry-all), MoveStation deltas that make the alpha1-shapley
 // predicate carry out-of-support entries, and moves that force
 // recomputation — while readers hit /v1/evaluate and /v1/batch
-// concurrently at engine widths 8 and 16. Every version-labeled
+// concurrently at evaluation widths 8 and 16. Every version-labeled
 // response must be byte-identical to a cold evaluation at exactly that
 // version (a stale carried entry or torn {evaluator, version} pair
 // surfaces as a mismatch), and every batch element must match some
@@ -43,10 +43,11 @@ func hammerOnce(t *testing.T, workers int) {
 	)
 	sp := instances.Spec{Name: "hammer", Scenario: "uniform", N: n, Alpha: 1, Seed: 53}
 	reg := NewRegistry()
+	reg.SetParallel(workers) // before registration, as wmcsd does
 	if err := reg.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: workers})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 	entry, _ := reg.Get("hammer")
 	src := entry.Net.Source()
@@ -136,8 +137,8 @@ func hammerOnce(t *testing.T, workers int) {
 				pi := (r + q) % len(probes)
 				if q%3 == 0 {
 					// A batch carrying every probe at once: distinct
-					// queries share one dispatcher round on the wide
-					// engine pool.
+					// queries evaluate concurrently on the compute
+					// slots.
 					w := do(t, s, "POST", "/v1/batch", probes)
 					if w.Code != http.StatusOK {
 						t.Errorf("reader %d: batch %d %s", r, w.Code, w.Body.String())

@@ -27,10 +27,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.Counter("wmcs_coalesced_total", "Requests served by riding on a concurrent identical computation.", s.stats.Coalesced.Load())
 	p.Counter("wmcs_errors_total", "Requests rejected or failed.", s.stats.Errors.Load())
 	p.Counter("wmcs_slow_requests_total", "OK responses at or above the slow-request threshold.", s.stats.SlowRequests.Load())
-	p.Counter("wmcs_batches_total", "Dispatcher rounds run.", s.stats.Batches.Load())
-	p.Counter("wmcs_batched_queries_total", "Tasks carried by dispatcher rounds.", s.stats.BatchedQueries.Load())
-	p.Counter("wmcs_replica_rounds_total", "Dispatch rounds whose groups ran concurrently on replica slots.", s.stats.ReplicaRounds.Load())
-	p.Counter("wmcs_replica_groups_total", "Groups carried by replica-dispatched rounds.", s.stats.ReplicaGroups.Load())
+	p.Counter("wmcs_evaluations_total", "Cache misses evaluated on a compute slot.", s.stats.Evaluations.Load())
 	p.Counter("wmcs_updates_total", "Applied network deltas (version bumps).", s.stats.Updates.Load())
 	p.Counter("wmcs_update_ops_total", "Mutation ops carried by applied deltas.", s.stats.UpdateOps.Load())
 	p.Counter("wmcs_carried_entries_total", "Cache entries carried forward across version bumps.", s.stats.CarriedEntries.Load())
@@ -44,7 +41,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("wmcs_cache_capacity_entries", "Result cache capacity in entries.", float64(cs.Capacity))
 
 	p.Gauge("wmcs_in_flight_requests", "Requests currently inside an evaluate or batch handler.", float64(s.stats.InFlight.Load()))
-	p.Gauge("wmcs_parallel_eval_width", "Configured evaluation width (spider-oracle scans and replica slots).", float64(s.batch.parallel))
+	p.Gauge("wmcs_parallel_eval_width", "Configured evaluation width (spider-oracle scans and compute slots).", float64(cap(s.slots)))
 	p.Gauge("wmcs_networks", "Hosted networks.", float64(s.reg.Len()))
 
 	// Per-network gauges: version and generation identify the lifecycle

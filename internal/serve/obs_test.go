@@ -86,7 +86,7 @@ func TestMetricszExposition(t *testing.T) {
 		"wmcs_slow_requests_total":       "counter",
 		"wmcs_network_cache_bytes":       "gauge",
 		"wmcs_gc_pause_ns_total":         "counter",
-		"wmcs_batched_queries_total":     "counter",
+		"wmcs_evaluations_total":         "counter",
 		"wmcs_delta_rebuilt_mechs_total": "counter",
 	} {
 		f, ok := doc.Families[name]

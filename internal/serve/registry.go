@@ -29,7 +29,7 @@ type Registry struct {
 	nets  map[string]*NetworkEntry
 	order []string // registration order, for stable listings
 	// width is the evaluation width every *future* registration builds
-	// its evaluators with (query.WithWidth), and the replica-slot count
+	// its evaluators with (query.WithWidth), and the compute-slot count
 	// of a server built over the registry; default 1. Set it before
 	// registering — SetParallel does not retrofit existing entries.
 	width int
@@ -63,9 +63,10 @@ type NetworkEntry struct {
 	// name (the evict → re-register race).
 	gen uint64
 	// evicted flips (before the evict handler purges the name's cache
-	// prefix) when the entry leaves its registry. The batcher re-checks
-	// it after caching a result so a task that was admitted before the
-	// evict cannot strand an unreachable entry in LRU capacity.
+	// prefix) when the entry leaves its registry. Server.compute
+	// re-checks it after caching a result so a query that was admitted
+	// before the evict cannot strand an unreachable entry in LRU
+	// capacity.
 	evicted atomic.Bool
 }
 
@@ -92,7 +93,7 @@ func NewRegistry() *Registry {
 
 // SetParallel sets the evaluation width (DESIGN.md §14) every future
 // registration builds its versioned evaluators with, and that NewServer
-// reads for its replica slots and its parallel_eval exposition; the
+// reads for its compute slots and its parallel_eval exposition; the
 // default is 1. The bytes served are the same at every width. It panics
 // for widths below 1: resolving "0 means GOMAXPROCS" is the flag
 // layer's job. The width carries across PATCH swaps automatically

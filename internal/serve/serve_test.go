@@ -9,9 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wmcs/internal/instances"
 	"wmcs/internal/mech"
+	"wmcs/internal/obs"
 )
 
 // newTestServer hosts two small networks ("uni", 10 stations uniform;
@@ -126,7 +128,7 @@ func TestListAndRegisterAndEvict(t *testing.T) {
 }
 
 func TestEvaluateHitIsByteIdentical(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
+	s := newTestServer(t, Options{})
 	req := EvalRequest{Network: "uni", Mech: "wireless-bb", Profile: profileFor(10, 0, 7)}
 	cold := do(t, s, "POST", "/v1/evaluate", req)
 	if cold.Code != http.StatusOK {
@@ -198,7 +200,7 @@ func TestEvaluateErrors(t *testing.T) {
 // the flight group must collapse them to (nearly) one evaluation, and
 // every caller must get the same bytes.
 func TestEvaluateCoalesces(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
+	s := newTestServer(t, Options{})
 	req := EvalRequest{Network: "uni", Mech: "wireless-bb", Profile: profileFor(10, 0, 21)}
 	const callers = 16
 	bodies := make([][]byte, callers)
@@ -219,7 +221,7 @@ func TestEvaluateCoalesces(t *testing.T) {
 			t.Fatalf("caller %d got different bytes", i)
 		}
 	}
-	if evals := s.Stats().BatchedQueries.Load(); evals >= callers/2 {
+	if evals := s.Stats().Evaluations.Load(); evals >= callers/2 {
 		t.Fatalf("%d evaluations for %d identical concurrent queries — coalescing broken", evals, callers)
 	}
 	if total := s.Stats().Queries.Load(); total != callers {
@@ -390,15 +392,101 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerShutdownFailsCleanly: after Close, a cache miss answers 503
+// instead of evaluating. The request repeats 64 times because a free
+// compute slot and the closed quit channel are both ready, and a select
+// over them picks at random — a single probe would pass half the time
+// without the re-check after taking the slot.
 func TestServerShutdownFailsCleanly(t *testing.T) {
 	s := newTestServer(t, Options{})
 	s.Close()
-	w := do(t, s, "POST", "/v1/evaluate", EvalRequest{Network: "uni", Mech: "jv-moat", Profile: profileFor(10, 0, 9)})
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("post-close evaluate: %d %s", w.Code, w.Body.String())
+	for i := 0; i < 64; i++ {
+		w := do(t, s, "POST", "/v1/evaluate", EvalRequest{Network: "uni", Mech: "jv-moat", Profile: profileFor(10, 0, 9)})
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("post-close evaluate %d: %d %s", i, w.Code, w.Body.String())
+		}
+		if !strings.Contains(w.Body.String(), "shutting down") {
+			t.Fatalf("post-close body %d: %s", i, w.Body.String())
+		}
 	}
-	if !strings.Contains(w.Body.String(), "shutting down") {
-		t.Fatalf("post-close body: %s", w.Body.String())
+	if n := s.Stats().Evaluations.Load(); n != 0 {
+		t.Fatalf("%d evaluations ran after Close", n)
+	}
+}
+
+// TestComputeSlotsBound pins the admission bound: at width 2, with both
+// compute slots held, a cold /v1/evaluate waits; releasing one slot lets
+// it answer 200 with a queue_wait span; and with the slots held, Close
+// turns a waiting miss into a 503.
+func TestComputeSlotsBound(t *testing.T) {
+	reg := NewRegistry()
+	reg.SetParallel(2)
+	if err := reg.RegisterSpec(instances.Spec{Name: "uni", Scenario: "uniform", N: 10, Alpha: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(reg, Options{})
+	t.Cleanup(s.Close)
+	if cap(s.slots) != 2 {
+		t.Fatalf("compute slots %d, want the registry's width 2", cap(s.slots))
+	}
+	hold := func() { s.slots <- struct{}{} }
+	release := func() { <-s.slots }
+	hold()
+	hold()
+	send := func(seed int64) <-chan *httptest.ResponseRecorder {
+		out := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			out <- do(t, s, "POST", "/v1/evaluate?trace=1",
+				EvalRequest{Network: "uni", Mech: "jv-moat", Profile: profileFor(10, 0, seed)})
+		}()
+		return out
+	}
+
+	first := send(31)
+	select {
+	case w := <-first:
+		t.Fatalf("cold evaluate completed with every slot held: %d %s", w.Code, w.Body.String())
+	case <-time.After(100 * time.Millisecond):
+	}
+	if n := s.Stats().Evaluations.Load(); n != 0 {
+		t.Fatalf("%d evaluations started with every slot held", n)
+	}
+	release()
+	w := <-first
+	if w.Code != http.StatusOK {
+		t.Fatalf("evaluate after a slot freed: %d %s", w.Code, w.Body.String())
+	}
+	var env struct {
+		Trace obs.Snapshot `json:"trace"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	waited := false
+	for _, sp := range env.Trace.Spans {
+		waited = waited || sp.Stage == obs.StageQueueWait.String()
+	}
+	if !waited {
+		t.Fatalf("no queue_wait span in %+v", env.Trace.Spans)
+	}
+
+	// The finished leader gave its slot back; hold both again.
+	hold()
+	second := send(32)
+	select {
+	case w := <-second:
+		t.Fatalf("cold evaluate completed with every slot held: %d %s", w.Code, w.Body.String())
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.Close()
+	w = <-second
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("waiting evaluate after Close: %d %s, want 503", w.Code, w.Body.String())
+	}
+	release()
+	release()
+	if n := s.Stats().Evaluations.Load(); n != 1 {
+		t.Fatalf("%d evaluations, want exactly the one that got a slot", n)
 	}
 }
 
@@ -431,10 +519,10 @@ func TestOutcomeSanity(t *testing.T) {
 // TestOverflowUtilityIs400: a finite wire utility whose quantization
 // overflows float64 (v/Quantum > MaxFloat64, i.e. v >= ~1.8e302) must
 // be rejected at validation — before the fix it canonicalized to +Inf,
-// the mechanism produced NaN shares, and encoding panicked on the
-// dispatcher goroutine, killing the daemon.
+// the mechanism produced NaN shares, and encoding panicked on what was
+// then a dispatcher goroutine, killing the daemon.
 func TestOverflowUtilityIs400(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
+	s := newTestServer(t, Options{})
 	p := profileFor(10, 0, 5)
 	p[3] = 1e303
 	w := do(t, s, "POST", "/v1/evaluate", EvalRequest{Network: "uni", Mech: "universal-mc", Profile: p})
@@ -448,21 +536,22 @@ func TestOverflowUtilityIs400(t *testing.T) {
 	}
 }
 
-// TestBatcherSurvivesEvaluationPanic injects a panic into a dispatch
-// round (a nil evaluator dereferences on the dispatcher goroutine,
-// where net/http's recover cannot reach) and checks the task gets an
-// error reply and the dispatcher keeps serving later tasks.
+// TestBatcherSurvivesEvaluationPanic injects a panic into an evaluation
+// (a nil evaluator dereferences inside compute) and checks the caller
+// gets errInternal and the server keeps serving: the panicking
+// evaluation released its compute slot, so at width 1 a later miss
+// still evaluates.
 func TestBatcherSurvivesEvaluationPanic(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	bad := &NetworkEntry{Name: "bad"} // nil Ev: EvaluateBatch panics
+	s := newTestServer(t, Options{})
+	bad := &NetworkEntry{Name: "bad"} // nil Ev: EvaluateOne panics
 	c, err := Canonicalize(EvalRequest{Network: "bad", Mech: "universal-mc", Profile: profileFor(10, 0, 9)}, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.batch.do(bad, nil, 0, c, bad.prefixFor(0)+c.Key, nil); !errors.Is(err, errInternal) {
+	if _, err := s.compute(bad, nil, 0, c, bad.prefixFor(0)+c.Key, nil); !errors.Is(err, errInternal) {
 		t.Fatalf("panicking evaluation: err=%v, want errInternal (mapped to 500, not 422)", err)
 	}
-	// The dispatcher survived: a well-formed query still answers.
+	// The server survived: a well-formed query still answers.
 	w := do(t, s, "POST", "/v1/evaluate", EvalRequest{Network: "uni", Mech: "universal-mc", Profile: profileFor(10, 0, 9)})
 	if w.Code != http.StatusOK {
 		t.Fatalf("query after panic: %d %s", w.Code, w.Body.String())
@@ -474,7 +563,7 @@ func TestBatcherSurvivesEvaluationPanic(t *testing.T) {
 // Put lands under a retired generation no request can ever form, so it
 // must not stay resident (it would occupy LRU capacity forever).
 func TestEvictMidFlightLeavesNoDeadCacheEntry(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
+	s := newTestServer(t, Options{})
 	entry, ok := s.reg.Get("uni")
 	if !ok {
 		t.Fatal("uni not registered")
@@ -490,7 +579,7 @@ func TestEvictMidFlightLeavesNoDeadCacheEntry(t *testing.T) {
 	s.cache.DeletePrefix(networkKeyPrefix("uni"))
 	cur := entry.Ev.Current()
 	key := entry.prefixFor(cur.Version) + c.Key
-	body, err := s.batch.do(entry, cur.Ev, cur.Version, c, key, nil)
+	body, err := s.compute(entry, cur.Ev, cur.Version, c, key, nil)
 	if err != nil || len(body) == 0 {
 		t.Fatalf("in-flight task after evict: body=%q err=%v", body, err)
 	}
@@ -499,5 +588,26 @@ func TestEvictMidFlightLeavesNoDeadCacheEntry(t *testing.T) {
 	}
 	if st := s.cache.Stats(); st.Len != 0 {
 		t.Fatalf("cache holds %d entries after evict, want 0", st.Len)
+	}
+}
+
+// TestOversizedBodyIs413: a body past maxBodyBytes answers 413 on every
+// route that decodes one, not a 400 blaming the JSON.
+func TestOversizedBodyIs413(t *testing.T) {
+	s := newTestServer(t, Options{})
+	// One JSON string longer than the limit: the decoder must read past
+	// maxBodyBytes before the value could end.
+	body := []byte(`"` + strings.Repeat("a", maxBodyBytes) + `"`)
+	for _, rt := range []struct{ method, path string }{
+		{"POST", "/v1/evaluate"},
+		{"POST", "/v1/batch"},
+		{"POST", "/v1/networks"},
+		{"PATCH", "/v1/networks/uni"},
+	} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(rt.method, rt.path, bytes.NewReader(body)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with a %d-byte body: %d %s, want 413", rt.method, rt.path, len(body), w.Code, w.Body.String())
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"wmcs/internal/instances"
@@ -28,12 +29,6 @@ type Options struct {
 	// CacheShards is the shard count (default 16, rounded up to a power
 	// of two).
 	CacheShards int
-	// Workers is the engine-pool width used for evaluation batches
-	// (1 = serial, <= 0 = GOMAXPROCS).
-	Workers int
-	// MaxBatch caps how many queued queries one dispatcher round may
-	// carry (default 64).
-	MaxBatch int
 	// MaxBatchRequest caps the element count of one /v1/batch request
 	// (default 1024).
 	MaxBatchRequest int
@@ -54,7 +49,9 @@ type Options struct {
 
 // Server is the HTTP face of the query service. Create with NewServer,
 // serve via any http.Server (it implements http.Handler), and Close it
-// when done to stop the admission dispatcher.
+// when done so that evaluations not yet started fail fast. A cache miss
+// evaluates on its own request goroutine once it holds one of the
+// registry's evaluation-width compute slots (see compute).
 //
 // Endpoints:
 //
@@ -74,13 +71,18 @@ type Server struct {
 	cache  *Cache
 	stats  *Stats
 	flight flightGroup
-	batch  *batcher
 	mux    *http.ServeMux
 	opts   Options
 	tracer *obs.Tracer
 	logger *slog.Logger
 	slow   time.Duration // resolved SlowRequest; <= 0 disables
 	boot   time.Time     // process-start anchor for wmcs_uptime_seconds
+
+	// slots bounds concurrent evaluations to the registry's evaluation
+	// width; quit closes on Close.
+	slots     chan struct{}
+	quit      chan struct{}
+	closeOnce sync.Once
 }
 
 // NewServer builds a server over a registry. The registry may be shared
@@ -108,10 +110,11 @@ func NewServer(reg *Registry, opts Options) *Server {
 		logger: opts.Logger,
 		slow:   opts.SlowRequest,
 		boot:   time.Now(),
+		// The registry's width sizes the compute slots; it also builds
+		// every hosted evaluator, so one setting governs both.
+		slots: make(chan struct{}, reg.parallel()),
+		quit:  make(chan struct{}),
 	}
-	// The registry's width sizes the replica slots; it also builds every
-	// hosted evaluator, so one setting governs both.
-	s.batch = newBatcher(s.cache, s.stats, opts.Workers, opts.MaxBatch, reg.parallel())
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
@@ -131,9 +134,10 @@ func NewServer(reg *Registry, opts Options) *Server {
 // ServeHTTP dispatches to the v1 API.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the admission dispatcher. In-flight handlers finish with
-// a clean "server shutting down" error; call after http.Server.Shutdown.
-func (s *Server) Close() { s.batch.close() }
+// Close makes every cache miss whose evaluation has not started fail
+// with a clean "server shutting down" error (503); evaluations already
+// running finish. Idempotent; call after http.Server.Shutdown.
+func (s *Server) Close() { s.closeOnce.Do(func() { close(s.quit) }) }
 
 // Cache exposes the result cache (counters for tests and callers
 // embedding the server in-process).
@@ -143,7 +147,7 @@ func (s *Server) Cache() *Cache { return s.cache }
 func (s *Server) Stats() *Stats { return s.stats }
 
 // EvaluateCanon serves one canonical query through the full admission
-// path — cache, singleflight, batch dispatch — and returns the response
+// path — cache, singleflight, compute slot — and returns the response
 // body bytes plus how they were obtained ("hit", "miss", "coalesced").
 // This is the exact path handleEvaluate takes; it is exported within
 // the package surface so in-process clients (the workload driver, the
@@ -163,8 +167,8 @@ func (s *Server) EvaluateCanon(c CanonRequest) (body []byte, source string, err 
 // evaluateEntry is EvaluateCanon with the registration already
 // resolved. One atomic load pins the admission to a consistent
 // {evaluator, version} pair; the cache key (and the singleflight key)
-// carry the entry's generation-and-version prefix, and the admitted
-// task evaluates on that exact evaluator — so concurrent
+// carry the entry's generation-and-version prefix, and the flight
+// leader evaluates on that exact evaluator — so concurrent
 // evict/re-register cycles *and* in-place updates can neither serve nor
 // poison another network state's results, and the returned version
 // always describes the state that produced the bytes.
@@ -182,7 +186,7 @@ func (s *Server) evaluateEntry(entry *NetworkEntry, c CanonRequest, tr *obs.Trac
 	// sees the whole wait as one coalesce span instead.
 	flightStart := time.Now()
 	body, err, shared := s.flight.Do(key, func() ([]byte, error) {
-		return s.batch.do(entry, cur.Ev, cur.Version, c, key, tr)
+		return s.compute(entry, cur.Ev, cur.Version, c, key, tr)
 	})
 	if err != nil {
 		return nil, "", cur.Version, err
@@ -210,12 +214,8 @@ type statszPayload struct {
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
 	// ParallelEval is the evaluation width (Registry.SetParallel, 1 by
-	// default); ReplicaRounds/ReplicaGroups count the dispatch
-	// rounds whose groups ran concurrently on replica slots and the
-	// groups those rounds carried.
-	ParallelEval  int    `json:"parallel_eval"`
-	ReplicaRounds uint64 `json:"replica_rounds"`
-	ReplicaGroups uint64 `json:"replica_groups"`
+	// default): the compute-slot count.
+	ParallelEval int `json:"parallel_eval"`
 	// Updates counts applied network deltas, UpdateOps the mutation ops
 	// they carried; RebuildUS summarizes the evaluator rebuild+warm
 	// latency those swaps paid. Generations maps every hosted network
@@ -256,17 +256,18 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	// Every evaluation is a batch of one. Both batch keys stay, reading
+	// the one counter, for the clients that decode them.
+	evaluations := s.stats.Evaluations.Load()
 	p := statszPayload{
 		Networks:             s.reg.Len(),
 		Queries:              s.stats.Queries.Load(),
 		Coalesced:            s.stats.Coalesced.Load(),
 		Errors:               s.stats.Errors.Load(),
 		InFlight:             s.stats.InFlight.Load(),
-		Batches:              s.stats.Batches.Load(),
-		BatchedQueries:       s.stats.BatchedQueries.Load(),
-		ParallelEval:         s.batch.parallel,
-		ReplicaRounds:        s.stats.ReplicaRounds.Load(),
-		ReplicaGroups:        s.stats.ReplicaGroups.Load(),
+		Batches:              evaluations,
+		BatchedQueries:       evaluations,
+		ParallelEval:         cap(s.slots),
 		Updates:              s.stats.Updates.Load(),
 		UpdateOps:            s.stats.UpdateOps.Load(),
 		RebuildUS:            s.stats.RebuildLatency(),
@@ -384,8 +385,8 @@ func (s *Server) handleListMechanisms(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRegisterNetwork(w http.ResponseWriter, r *http.Request) {
 	var sp instances.Spec
-	if err := decodeJSON(r, &sp); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if code, err := decodeJSON(w, r, &sp); err != nil {
+		writeErr(w, code, err.Error())
 		return
 	}
 	if err := s.reg.RegisterSpec(sp); err != nil {
@@ -443,10 +444,10 @@ func (s *Server) handleUpdateNetwork(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var up instances.Update
-	if err := decodeJSON(r, &up); err != nil {
+	if code, err := decodeJSON(w, r, &up); err != nil {
 		tr.RecordSince(obs.StageAdmission, tr.Begin)
-		tr.Status, tr.Err = http.StatusBadRequest, err.Error()
-		writeErr(w, http.StatusBadRequest, err.Error())
+		tr.Status, tr.Err = code, err.Error()
+		writeErr(w, code, err.Error())
 		return
 	}
 	if up.Empty() {
@@ -494,7 +495,7 @@ func (s *Server) handleUpdateNetwork(w http.ResponseWriter, r *http.Request) {
 	s.stats.CarriedEntries.Add(uint64(carried))
 	// Reclaim the retired version's cache space. Correctness does not
 	// wait for this: new requests already form newVer keys, and a
-	// racing old-version Put self-deletes (see batcher.runGroup).
+	// racing old-version Put self-deletes (see compute).
 	purgeStart := time.Now()
 	dropped := s.cache.DeletePrefix(entry.prefixFor(res.OldVersion))
 	tr.RecordSince(obs.StagePurge, purgeStart)
@@ -528,11 +529,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Wmcs-Trace", tr.ID)
 	traced := wantTrace(r)
 	var req EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if code, err := decodeJSON(w, r, &req); err != nil {
 		tr.RecordSince(obs.StageAdmission, tr.Begin)
-		tr.Status, tr.Err = http.StatusBadRequest, err.Error()
+		tr.Status, tr.Err = code, err.Error()
 		s.stats.Errors.Add(1)
-		writeErr(w, http.StatusBadRequest, err.Error())
+		writeErr(w, code, err.Error())
 		return
 	}
 	tr.RecordSince(obs.StageAdmission, tr.Begin)
@@ -661,11 +662,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.closeTrace(tr, false)
 	w.Header().Set("X-Wmcs-Trace", tr.ID)
 	var reqs []EvalRequest
-	if err := decodeJSON(r, &reqs); err != nil {
+	if code, err := decodeJSON(w, r, &reqs); err != nil {
 		tr.RecordSince(obs.StageAdmission, tr.Begin)
-		tr.Status, tr.Err = http.StatusBadRequest, err.Error()
+		tr.Status, tr.Err = code, err.Error()
 		s.stats.Errors.Add(1)
-		writeErr(w, http.StatusBadRequest, err.Error())
+		writeErr(w, code, err.Error())
 		return
 	}
 	if len(reqs) > s.opts.MaxBatchRequest {
@@ -677,9 +678,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.RecordSince(obs.StageAdmission, tr.Begin)
-	// Fan the elements out concurrently: distinct queries pile into the
-	// admission queue together (one engine batch), identical ones
-	// coalesce in the flight group, hits return immediately. Each
+	// Fan the elements out concurrently: distinct queries take compute
+	// slots like any /v1/evaluate miss, identical ones coalesce in the
+	// flight group, hits return immediately. Each
 	// element carries a child trace (ID "<batch>.<i>") and times itself,
 	// so the per-mechanism quantiles reflect per-query service latency,
 	// not the whole batch's wall clock — and a slow element ranks in
@@ -732,13 +733,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // 16MB leaves headroom without inviting abuse).
 const maxBodyBytes = 16 << 20
 
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+// decodeJSON decodes a request body into dst. On failure it also
+// returns the status to answer: 413 for a body over maxBodyBytes (the
+// status /v1/batch uses for too many elements), 400 otherwise.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		return code, fmt.Errorf("decoding request: %w", err)
 	}
-	return nil
+	return 0, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -26,21 +26,16 @@ type Stats struct {
 	// batch handler. Every increment pairs with a deferred decrement
 	// taken before any other work (TrackInFlight), so the gauge drains
 	// to zero on every exit path — decode failures, 404s, canonicalize
-	// rejects, 422s, and recovered dispatcher panics included
+	// rejects, 422s, and recovered evaluation panics included
 	// (TestInFlightDrainsOnErrorPaths hammers exactly those).
 	InFlight atomic.Int64
 	// SlowRequests counts OK responses slower than the server's slow
 	// threshold — the numerator of a cheap SLO burn signal.
 	SlowRequests atomic.Uint64
-	// Batches counts dispatcher rounds; BatchedQueries the tasks they
-	// carried (BatchedQueries/Batches is the realized batching factor).
-	Batches        atomic.Uint64
-	BatchedQueries atomic.Uint64
-	// ReplicaRounds counts dispatch rounds whose groups ran concurrently
-	// on replica slots (an evaluation width above 1 and more than one
-	// group in the round); ReplicaGroups the groups those rounds carried.
-	ReplicaRounds atomic.Uint64
-	ReplicaGroups atomic.Uint64
+	// Evaluations counts cache misses that took a compute slot and
+	// started evaluating (flight leaders; coalesced followers and hits
+	// never evaluate).
+	Evaluations atomic.Uint64
 	// Updates counts applied PATCH deltas (version bumps; rejected,
 	// empty, and all-no-op deltas do not count), UpdateOps the mutation
 	// ops they carried. rebuild histograms the evaluator swap latency

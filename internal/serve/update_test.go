@@ -47,7 +47,7 @@ func TestPatchDifferentialAllMechanisms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := NewServer(reg, Options{Workers: 1})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 
 	for _, sp := range specs {
@@ -139,7 +139,7 @@ func TestPatchOverlappingDisableWindows(t *testing.T) {
 	if err := reg.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Options{Workers: 1})
+	s := NewServer(reg, Options{})
 	defer s.Close()
 	wire := profileFor(8, 0, 31)
 	req := EvalRequest{Network: "flap", Mech: "universal-shapley", Profile: wire}
@@ -251,7 +251,7 @@ func statszFor(t *testing.T, s *Server) statszPayload {
 // the PATCH handler's purge of version v's prefix must delete its own
 // key instead of stranding it in LRU capacity forever.
 func TestUpdateMidFlightLeavesNoDeadCacheEntry(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
+	s := newTestServer(t, Options{})
 	entry, _ := s.reg.Get("uni")
 	c, err := Canonicalize(EvalRequest{Network: "uni", Mech: "universal-mc", Profile: profileFor(10, 0, 23)}, 10, 0)
 	if err != nil {
@@ -264,7 +264,7 @@ func TestUpdateMidFlightLeavesNoDeadCacheEntry(t *testing.T) {
 	if w := do(t, s, "PATCH", "/v1/networks/uni", updateFor(entry.Net, 0)); w.Code != http.StatusOK {
 		t.Fatalf("PATCH: %d %s", w.Code, w.Body.String())
 	}
-	body, err := s.batch.do(entry, cur.Ev, cur.Version, c, key, nil)
+	body, err := s.compute(entry, cur.Ev, cur.Version, c, key, nil)
 	if err != nil || len(body) == 0 {
 		t.Fatalf("in-flight task after update: body=%q err=%v", body, err)
 	}

@@ -52,7 +52,11 @@ type SampledShapley struct {
 	samples int
 	delta   float64
 	seed    int64
-	cache   map[string]float64
+	// cache memoizes C by the subset's canonical key: its sorted members
+	// as uvarints. key is the probe buffer costOfSorted reuses, so a
+	// probe allocates nothing and only an insert copies the key.
+	cache map[string]float64
+	key   []byte
 	// Queries and Hits count oracle calls and memo hits.
 	Queries, Hits int
 }
@@ -80,29 +84,23 @@ func NewSampledShapley(agents []int, cost CostFunc, samples int, delta float64, 
 	return s, nil
 }
 
-// subsetKey encodes a sorted agent subset as a canonical byte string.
-func subsetKey(sorted []int) string {
-	buf := make([]byte, 0, 2*len(sorted)+2)
-	for _, a := range sorted {
-		buf = binary.AppendUvarint(buf, uint64(a))
-	}
-	return string(buf)
-}
-
 // costOfSorted returns C of a sorted subset, memoized across every
 // evaluation this instance has performed.
 func (s *SampledShapley) costOfSorted(sorted []int) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	key := subsetKey(sorted)
-	if c, ok := s.cache[key]; ok {
+	s.key = s.key[:0]
+	for _, a := range sorted {
+		s.key = binary.AppendUvarint(s.key, uint64(a))
+	}
+	if c, ok := s.cache[string(s.key)]; ok {
 		s.Hits++
 		return c
 	}
 	s.Queries++
 	c := s.cost(sorted)
-	s.cache[key] = c
+	s.cache[string(s.key)] = c
 	return c
 }
 

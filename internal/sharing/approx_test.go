@@ -192,3 +192,24 @@ func TestShapleyAgentLimit(t *testing.T) {
 		t.Errorf("cert epsilon %g", cert.Epsilon)
 	}
 }
+
+// TestSampledShapleyWarmProbesAllocateNothing pins that a memo probe
+// allocates nothing: on a warm estimator, where every subset the
+// permutation stream visits is already priced, SharesCert allocates the
+// same at 64 and at 512 samples. A probe that built its key per call
+// would add allocations in proportion to the samples.
+func TestSampledShapleyWarmProbesAllocateNothing(t *testing.T) {
+	agents := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	cost := airportCost([]float64{0, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8})
+	allocs := func(samples int) float64 {
+		s, err := NewSampledShapley(agents, cost, samples, 0.05, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SharesCert(agents) // warm: prices every subset the stream visits
+		return testing.AllocsPerRun(10, func() { s.SharesCert(agents) })
+	}
+	if few, many := allocs(64), allocs(512); few != many {
+		t.Fatalf("warm SharesCert allocates %v at 64 samples and %v at 512; memo probes allocate", few, many)
+	}
+}

@@ -249,12 +249,14 @@ type Registry = serve.Registry
 
 // Server is the HTTP face of the query service: /v1/networks,
 // /v1/evaluate, /v1/batch, /healthz and /statsz over a registry, with
-// canonicalized result caching, singleflight coalescing and admission
-// batching. It implements http.Handler; Close it when done.
+// canonicalized result caching, singleflight coalescing, and at most the
+// registry's evaluation width (Registry.SetParallel) of evaluations
+// running at once. It implements http.Handler; Close it when done.
 type Server = serve.Server
 
-// ServeOptions tune a Server (cache capacity and sharding, engine-pool
-// width, admission batch size); the zero value selects the defaults.
+// ServeOptions tune a Server (cache capacity and sharding, the
+// /v1/batch element limit, request logging and slow-trace retention);
+// the zero value selects the defaults.
 type ServeOptions = serve.Options
 
 // NewRegistry returns an empty serving registry.
