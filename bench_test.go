@@ -16,6 +16,7 @@ import (
 	"wmcs/internal/instances"
 	"wmcs/internal/jv"
 	"wmcs/internal/mech"
+	"wmcs/internal/mechreg"
 	"wmcs/internal/memtred"
 	"wmcs/internal/mst"
 	"wmcs/internal/nwst"
@@ -332,6 +333,39 @@ func BenchmarkWirelessBBMechanism(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := wmech.New(nw, nwst.KleinRaviOracle)
 		m.Run(u)
+	}
+}
+
+// BenchmarkWirelessBBFreshQueries is cold-compute's wireless-bb class at
+// the query layer. Each iteration builds a fresh Evaluator on
+// cold-compute's uni12 network (uniform, n = 12, α = 2, seed 11) and
+// answers 16 seeded uniform-workload queries through the default branch
+// oracle. Unlike the one-attempt benchmarks above, the profiles make
+// receivers drop, so attempts repeat and the trajectory memo misses as
+// on served cache misses.
+func BenchmarkWirelessBBFreshQueries(b *testing.B) {
+	nw, err := instances.Spec{Scenario: "uniform", N: 12, Alpha: 2, Seed: 11}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	uniform, err := instances.WorkloadByName("uniform")
+	if err != nil {
+		b.Fatal(err)
+	}
+	smp := uniform.New(rand.New(rand.NewSource(7)), nw, instances.WorkloadOptions{})
+	qs := make([]instances.Query, 16)
+	for i := range qs {
+		qs[i] = smp.Next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := query.NewEvaluator(nw)
+		for _, q := range qs {
+			if _, err := ev.Evaluate(mechreg.WirelessBB, q.R, q.U); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
