@@ -137,7 +137,7 @@ func main() {
 		SlowRequest:   slowThreshold,
 		SlowTraces:    ringSize,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
@@ -163,5 +163,27 @@ func main() {
 			srv.Close()
 			fatal("listener failed", "err", err)
 		}
+	}
+}
+
+// Connection timeouts. A client that trickles its headers or idles on a
+// kept-alive connection holds that connection and its goroutine only
+// this long. There is deliberately no read or write deadline on the
+// request itself: a write deadline would cut off a legitimately long
+// wireless-bb evaluation, and bounding what one request may cost is the
+// admission layer's job, not the transport's.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's listener with its connection
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
