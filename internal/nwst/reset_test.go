@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"wmcs/internal/engine"
 )
 
 // withFreeSource marks the first terminal of a randomInstance free, the
@@ -66,20 +68,50 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 // TestStatePoolDifferential checks that states cycling through a pool
-// behave identically to fresh states for Solve-style use.
+// behave identically to fresh states for Solve-style use: several
+// terminal sets over one host graph, all served by the pool's one table
+// of uncontracted rows, with both oracles at widths 1 and 4.
 func TestStatePoolDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := withFreeSource(randomInstance(rng, 14, 5))
-	pool := NewStatePool(in.G, in.Weights)
-	want := runGreedy(t, NewState(in), BranchSpiderOracle)
-	for round := 0; round < 3; round++ {
-		st := pool.Get(in.Terminals, in.Free)
-		got := runGreedy(t, st, BranchSpiderOracle)
-		pool.Put(st)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("round %d: pooled state diverged", round)
+	sets := []Instance{in}
+	for k := 3; k <= 6; k++ {
+		terms := append([]int{in.Terminals[0]}, rng.Perm(in.G.N())[:k]...)
+		sets = append(sets, withFreeSource(Instance{G: in.G, Weights: in.Weights, Terminals: dedup(terms)}))
+	}
+	wide := engine.New(4)
+	for name, oracle := range map[string]Oracle{
+		"kr/w1":     KleinRaviOracle,
+		"kr/w4":     func(s *State, k int) (Spider, bool) { return s.kleinRavi(k, wide) },
+		"branch/w1": BranchSpiderOracle,
+		"branch/w4": BranchSpiderOracleOn(wide),
+	} {
+		pool := NewStatePool(in.G, in.Weights)
+		for round := 0; round < 3; round++ {
+			for i, set := range sets {
+				want := runGreedy(t, NewState(set), oracle)
+				st := pool.Get(set.Terminals, set.Free)
+				got := runGreedy(t, st, oracle)
+				pool.Put(st)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s round %d set %d: pooled state diverged\nfresh:  %+v\npooled: %+v", name, round, i, want, got)
+				}
+			}
 		}
 	}
+}
+
+// dedup drops repeated vertex ids, keeping first occurrences in order.
+func dedup(ids []int) []int {
+	seen := map[int]bool{}
+	var out []int
+	for _, v := range ids {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // TestResetAfterDropTerminal verifies Reset also undoes DropTerminal and
