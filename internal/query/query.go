@@ -70,6 +70,9 @@ var (
 //     per-query state — the wireless mechanism's NWST contraction
 //     workspace — is checked out of a mutex-guarded StatePool
 //     (nwst.StatePool), giving each concurrent Run a private state.
+//     The pool's table of uncontracted distance rows is shared by all
+//     of them: filled once under a sync.Once by the first oracle call
+//     that needs it, and read-only after.
 //
 // The determinism contract survives concurrency: pooled states reset to
 // as-constructed behavior, so a query's outcome is bit-identical no
