@@ -243,7 +243,7 @@ func BenchmarkExactShapley12(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh := sharing.NewShapley(agents, ut.CostFunc())
+		sh := sharing.Shapley(ut.CostFunc())
 		sh.Shares(agents)
 	}
 }

@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		quick      = flag.Bool("quick", false, "reduced trial counts")
-		only       = flag.String("only", "", "run a single experiment by id (E1..E14, A1, A4)")
+		only       = flag.String("only", "", "run a single experiment by id (E1..E15, E15b, A1, A4)")
 		parallel   = flag.Int("parallel", 0, "evaluation-engine workers: 1 = serial, 0 = GOMAXPROCS")
 		jsonOut    = flag.Bool("json", false, "emit tables as JSON (one object per line)")
 		timings    = flag.String("timings", "", "also write per-experiment wall-clock timings (JSON) to this file")

@@ -53,7 +53,7 @@ func TestAirportShapleyMatchesExactFormula(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		nw := alpha1Net(rng, 8)
 		g := NewAirportGame(nw)
-		exact := sharing.NewShapley(nw.AllReceivers(), g.Cost)
+		exact := sharing.Shapley(g.Cost)
 		var R []int
 		for _, a := range nw.AllReceivers() {
 			if rng.Intn(2) == 0 {
@@ -167,7 +167,7 @@ func TestLineShapleyMatchesEnumeration(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		nw := lineNetRandom(rng, 8, 2)
 		g := NewLineGame(nw)
-		exact := sharing.NewShapley(nw.AllReceivers(), g.Cost)
+		exact := sharing.Shapley(g.Cost)
 		var R []int
 		for _, a := range nw.AllReceivers() {
 			if rng.Intn(2) == 0 {

@@ -106,7 +106,6 @@ var All = []Experiment{
 	{ID: "E14", Name: "Lifecycle: cost-share stability under ε-perturbations", Run: E14ShareStability},
 	{ID: "E15", Name: "Lifecycle: delta-aware update latency (DESIGN.md §12)", Run: E15UpdateLatency},
 	{ID: "E15b", Name: "Lifecycle: full-rebuild update baseline (control for E15)", Run: E15bUpdateLatencyFull},
-	{ID: "E16", Name: "Exact Shapley, blocked flat-table enumeration (DESIGN.md §14)", Run: E16ParallelShapley},
 	{ID: "A1", Name: "Ablation: universal tree choice SPT vs MST", Run: A01TreeChoice},
 	{ID: "A4", Name: "Ablation: efficiency loss, Shapley vs incremental [38]", Run: A04EfficiencyLoss},
 }

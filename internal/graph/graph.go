@@ -76,9 +76,6 @@ func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 // Rewind) operate on Clones.
 func Assemble(adj [][]Edge, m int) *Graph { return &Graph{adj: adj, m: m} }
 
-// Degree returns the number of incident edges of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // Edges returns every edge exactly once, with From < To, sorted by
 // (W, From, To) for determinism.
 func (g *Graph) Edges() []Edge {
@@ -148,15 +145,6 @@ func (g *Graph) Rewind(s Snapshot) {
 		g.adj[i] = g.adj[i][:s.deg[i]]
 	}
 	g.m = s.m
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var s float64
-	for _, e := range g.Edges() {
-		s += e.W
-	}
-	return s
 }
 
 // Digraph is a weighted directed multigraph with dense vertex ids.

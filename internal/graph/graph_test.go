@@ -15,9 +15,6 @@ func TestGraphBasics(t *testing.T) {
 	if g.N() != 4 || g.M() != 3 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
-	if g.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d", g.Degree(1))
-	}
 	es := g.Edges()
 	if len(es) != 3 {
 		t.Fatalf("Edges len = %d", len(es))
@@ -30,9 +27,6 @@ func TestGraphBasics(t *testing.T) {
 		if e.From >= e.To {
 			t.Errorf("edge not normalized: %v", e)
 		}
-	}
-	if got := g.TotalWeight(); got != 4 {
-		t.Errorf("TotalWeight = %g", got)
 	}
 	v := g.AddVertex()
 	if v != 4 || g.N() != 5 {
@@ -120,9 +114,6 @@ func TestUnionFind(t *testing.T) {
 	}
 	if !uf.Same(1, 3) || uf.Same(0, 4) {
 		t.Error("Same is wrong")
-	}
-	if uf.SizeOf(3) != 4 || uf.SizeOf(5) != 1 {
-		t.Errorf("SizeOf wrong: %d %d", uf.SizeOf(3), uf.SizeOf(5))
 	}
 	if uf.Sets() != 3 {
 		t.Errorf("Sets = %d", uf.Sets())

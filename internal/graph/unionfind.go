@@ -76,8 +76,5 @@ func (uf *UnionFind) Union(x, y int) bool {
 // Same reports whether x and y are in the same set.
 func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
 
-// SizeOf returns the size of x's set.
-func (uf *UnionFind) SizeOf(x int) int { return uf.size[uf.Find(x)] }
-
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"wmcs/internal/wireless"
@@ -58,28 +59,55 @@ func ParseManifest(src io.Reader) ([]Spec, error) {
 	return specs, nil
 }
 
-// Build draws the spec's network. It validates the scenario name and the
-// station count, applies the Alpha/Dim defaults, and returns the same
-// network for the same spec every time.
+// MaxStations is the largest station count a Spec builds. Every network
+// is a dense n×n cost matrix, so the cap bounds what one registration
+// allocates: 8 MiB of costs at n = 1024.
+const MaxStations = 1024
+
+// MaxDim is the largest dimension the legacy "euclid" scenario accepts.
+const MaxDim = 8
+
+// Build draws the spec's network. It validates the scenario name, the
+// station count, α and Dim (after their defaults) before allocating
+// anything, rejects a network with a cost that is negative, not finite
+// or at least wireless.DisabledCost (such a cost would let a disabled
+// station relay), and returns the same network for the same spec every
+// time.
 func (s Spec) Build() (*wireless.Network, error) {
-	if s.N < 2 {
-		return nil, fmt.Errorf("instances: spec %q needs n >= 2 stations, have %d", s.Name, s.N)
+	if s.N < 2 || s.N > MaxStations {
+		return nil, fmt.Errorf("instances: spec %q needs 2 <= n <= %d stations, have %d", s.Name, MaxStations, s.N)
 	}
 	alpha := s.Alpha
 	if alpha == 0 {
 		alpha = 2
 	}
+	if !(alpha >= 1) || math.IsInf(alpha, 1) {
+		return nil, fmt.Errorf("instances: spec %q needs a finite alpha >= 1, have %g", s.Name, alpha)
+	}
 	rng := rand.New(rand.NewSource(s.Seed))
+	var nw *wireless.Network
 	if s.Scenario == "euclid" {
 		d := s.Dim
 		if d == 0 {
 			d = 2
 		}
-		return RandomEuclidean(rng, s.N, d, alpha, 10), nil
+		if d < 1 || d > MaxDim {
+			return nil, fmt.Errorf("instances: spec %q needs 1 <= dim <= %d, have %d", s.Name, MaxDim, d)
+		}
+		nw = RandomEuclidean(rng, s.N, d, alpha, 10)
+	} else {
+		sc, err := ScenarioByName(s.Scenario)
+		if err != nil {
+			return nil, err
+		}
+		nw = sc.Gen(rng, s.N, alpha)
 	}
-	sc, err := ScenarioByName(s.Scenario)
-	if err != nil {
-		return nil, err
+	for i := 0; i < s.N; i++ {
+		for j := 0; j < s.N; j++ {
+			if c := nw.C(i, j); !(c >= 0 && c < wireless.DisabledCost) {
+				return nil, fmt.Errorf("instances: spec %q builds cost C(%d,%d) = %g, outside [0, %g)", s.Name, i, j, c, wireless.DisabledCost)
+			}
+		}
 	}
-	return sc.Gen(rng, s.N, alpha), nil
+	return nw, nil
 }

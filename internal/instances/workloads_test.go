@@ -1,8 +1,10 @@
 package instances
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -51,11 +53,55 @@ func TestSpecBuildDeterministic(t *testing.T) {
 }
 
 func TestSpecBuildValidates(t *testing.T) {
-	if _, err := (Spec{Scenario: "uniform", N: 1}).Build(); err == nil {
-		t.Fatal("n=1 accepted")
+	for _, sp := range []Spec{
+		{Scenario: "uniform", N: 1},
+		{Scenario: "nope", N: 8},
+		{Scenario: "uniform", N: MaxStations + 1},
+		{Scenario: "uniform", N: 8, Alpha: 0.5},
+		{Scenario: "uniform", N: 8, Alpha: -2},
+		{Scenario: "uniform", N: 8, Alpha: math.NaN()},
+		{Scenario: "uniform", N: 8, Alpha: math.Inf(1)},
+		{Scenario: "euclid", N: 8, Dim: -3},
+		{Scenario: "euclid", N: 8, Dim: MaxDim + 1},
+		// Finite α whose costs reach the disabled-station sentinel
+		// (distances up to 10√2 in the square) or overflow to +Inf.
+		{Scenario: "uniform", N: 8, Alpha: 12},
+		{Scenario: "uniform", N: 8, Alpha: 1e300},
+	} {
+		if _, err := sp.Build(); err == nil {
+			t.Errorf("%+v accepted", sp)
+		}
 	}
-	if _, err := (Spec{Scenario: "nope", N: 8}).Build(); err == nil {
-		t.Fatal("unknown scenario accepted")
+	for _, sp := range []Spec{
+		{Scenario: "uniform", N: 8, Alpha: 1},
+		{Scenario: "euclid", N: 8, Dim: 1},
+		{Scenario: "euclid", N: 8, Dim: MaxDim},
+	} {
+		if _, err := sp.Build(); err != nil {
+			t.Errorf("%+v rejected: %v", sp, err)
+		}
+	}
+}
+
+// TestSpecBuildStationCap: n = MaxStations builds, and n = 1<<40 is
+// refused before anything the size of the network is allocated.
+func TestSpecBuildStationCap(t *testing.T) {
+	nw, err := Spec{Scenario: "uniform", N: MaxStations, Seed: 1}.Build()
+	if err != nil {
+		t.Fatalf("n = MaxStations rejected: %v", err)
+	}
+	if nw.N() != MaxStations {
+		t.Fatalf("built %d stations, want %d", nw.N(), MaxStations)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Spec{Scenario: "uniform", N: 1 << 40, Seed: 1}.Build()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("n = 1<<40 accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<16 {
+		t.Fatalf("rejecting n = 1<<40 allocated %d bytes", d)
 	}
 }
 

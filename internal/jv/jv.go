@@ -30,7 +30,6 @@ package jv
 
 import (
 	"math"
-	"sort"
 
 	"wmcs/internal/graph"
 	"wmcs/internal/mech"
@@ -225,12 +224,4 @@ func BetaBound(d int) float64 {
 		return 12
 	}
 	return 2 * (math.Pow(3, float64(d)) - 1)
-}
-
-// SortedAgents is a small helper returning a sorted copy (used by
-// experiments when subsetting agent lists).
-func SortedAgents(R []int) []int {
-	out := append([]int(nil), R...)
-	sort.Ints(out)
-	return out
 }

@@ -172,14 +172,6 @@ func TestBetaBoundConstants(t *testing.T) {
 	}
 }
 
-func TestSortedAgents(t *testing.T) {
-	in := []int{3, 1, 2}
-	out := SortedAgents(in)
-	if out[0] != 1 || out[2] != 3 || in[0] != 3 {
-		t.Error("SortedAgents must sort a copy")
-	}
-}
-
 // Theorem 3.6 end to end at small scale: shares ≤ 2(3^d −1)·C*(R) with
 // C* from the exact solver.
 func TestTheorem36BoundSmall(t *testing.T) {

@@ -70,9 +70,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{nvars: n, obj: make([]float64, n)}
 }
 
-// NVars returns the number of variables.
-func (p *Problem) NVars() int { return p.nvars }
-
 // SetObjective sets the minimization objective coefficients.
 func (p *Problem) SetObjective(c []float64) {
 	if len(c) != p.nvars {

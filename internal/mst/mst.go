@@ -157,31 +157,3 @@ func Weight(edges []graph.Edge) float64 {
 	}
 	return s
 }
-
-// Orient turns an undirected spanning tree (given by its edge list over n
-// vertices) into an out-arborescence rooted at root: the result digraph
-// has an arc parent→child for every tree edge. Vertices not connected to
-// root keep no arcs.
-func Orient(n int, edges []graph.Edge, root int) *graph.Digraph {
-	adj := make([][]graph.Edge, n)
-	for _, e := range edges {
-		adj[e.From] = append(adj[e.From], e)
-		adj[e.To] = append(adj[e.To], graph.Edge{From: e.To, To: e.From, W: e.W})
-	}
-	d := graph.NewDigraph(n)
-	seen := make([]bool, n)
-	queue := []int{root}
-	seen[root] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[u] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				d.AddArc(u, e.To, e.W)
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return d
-}

@@ -101,34 +101,3 @@ func TestMSTIsMinimal(t *testing.T) {
 		}
 	}
 }
-
-func TestOrient(t *testing.T) {
-	// Path 0-1-2-3 rooted at 2 must orient as 2→1→0 and 2→3.
-	edges := []graph.Edge{{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 2}, {From: 2, To: 3, W: 3}}
-	d := Orient(4, edges, 2)
-	if d.M() != 3 {
-		t.Fatalf("arcs = %d", d.M())
-	}
-	hasArc := func(u, v int) bool {
-		for _, a := range d.Out(u) {
-			if a.To == v {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasArc(2, 1) || !hasArc(1, 0) || !hasArc(2, 3) {
-		t.Errorf("bad orientation: %v", d.Arcs())
-	}
-	if len(d.In(2)) != 0 {
-		t.Error("root must have no incoming arcs")
-	}
-}
-
-func TestOrientSkipsDisconnected(t *testing.T) {
-	edges := []graph.Edge{{From: 0, To: 1, W: 1}}
-	d := Orient(4, edges, 3)
-	if d.M() != 0 {
-		t.Errorf("expected no arcs, got %v", d.Arcs())
-	}
-}

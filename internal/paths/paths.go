@@ -203,34 +203,6 @@ func DijkstraMatrix(m *graph.Matrix, src int) *Tree {
 	return newWorkspaceN(m.N()).DijkstraMatrix(m, src)
 }
 
-// BFSDigraph returns the set of vertices reachable from src in the
-// digraph, as a boolean mask, together with a BFS parent array and the BFS
-// visit order. It is used both for multicast-feasibility checks and for
-// the BFS numbering of the MEMT→NWST reduction.
-func BFSDigraph(g *graph.Digraph, src int) (reach []bool, parent []int, order []int) {
-	n := g.N()
-	reach = make([]bool, n)
-	parent = make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	queue := []int{src}
-	reach[src] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, e := range g.Out(u) {
-			if !reach[e.To] {
-				reach[e.To] = true
-				parent[e.To] = u
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return reach, parent, order
-}
-
 // BFS returns reachability, parents and visit order from src in an
 // undirected graph, ignoring weights.
 func BFS(g *graph.Graph, src int) (reach []bool, parent []int, order []int) {

@@ -116,34 +116,6 @@ func TestDijkstraMatrixMatchesHeap(t *testing.T) {
 	}
 }
 
-func TestBFSDigraph(t *testing.T) {
-	g := graph.NewDigraph(5)
-	g.AddArc(0, 1, 1)
-	g.AddArc(0, 2, 1)
-	g.AddArc(2, 3, 1)
-	// 4 unreachable
-	reach, parent, order := BFSDigraph(g, 0)
-	if !reach[0] || !reach[1] || !reach[2] || !reach[3] || reach[4] {
-		t.Errorf("reach = %v", reach)
-	}
-	if parent[3] != 2 || parent[0] != -1 {
-		t.Errorf("parent = %v", parent)
-	}
-	if len(order) != 4 || order[0] != 0 {
-		t.Errorf("order = %v", order)
-	}
-	// BFS order property: parents appear before children.
-	pos := map[int]int{}
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, v := range order {
-		if p := parent[v]; p >= 0 && pos[p] >= pos[v] {
-			t.Errorf("parent %d after child %d", p, v)
-		}
-	}
-}
-
 func TestBFSUndirected(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 5)

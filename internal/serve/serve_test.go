@@ -275,23 +275,39 @@ func TestBatchMatchesSingles(t *testing.T) {
 }
 
 // TestRegisterInvalidSpecIs400 separates "bad spec" (400) from
-// "name taken" (409).
+// "name taken" (409). A bad spec is refused before its network is
+// allocated: the registry is unchanged and the server keeps answering.
 func TestRegisterInvalidSpecIs400(t *testing.T) {
 	s := newTestServer(t, Options{})
-	if w := do(t, s, "POST", "/v1/networks", instances.Spec{Name: "x", Scenario: "bogus", N: 8, Seed: 1}); w.Code != http.StatusBadRequest {
-		t.Fatalf("bad scenario: %d, want 400", w.Code)
-	}
-	if w := do(t, s, "POST", "/v1/networks", instances.Spec{Name: "x", Scenario: "uniform", N: 1, Seed: 1}); w.Code != http.StatusBadRequest {
-		t.Fatalf("n=1: %d, want 400", w.Code)
+	listing := do(t, s, "GET", "/v1/networks", nil).Body.String()
+	for _, sp := range []instances.Spec{
+		{Name: "x", Scenario: "bogus", N: 8},
+		{Name: "x", Scenario: "uniform", N: 1},
+		{Name: "x", Scenario: "uniform", N: 100000},
+		{Name: "x", Scenario: "uniform", N: 1 << 40},
+		{Name: "x", Scenario: "euclid", N: 8, Dim: -3},
+		{Name: "x", Scenario: "euclid", N: 8, Dim: 9},
+		{Name: "x", Scenario: "uniform", N: 8, Alpha: 0.5},
+		{Name: "x", Scenario: "uniform", N: 8, Alpha: -2},
+		// Finite, but every cost over distance 1 overflows to +Inf.
+		{Name: "x", Scenario: "uniform", N: 8, Alpha: 1e300},
+		// Names that would break key-prefix eviction or the DELETE route.
+		{Name: "a\x1fb", Scenario: "uniform", N: 8},
+		{Name: "a/b", Scenario: "uniform", N: 8},
+		{Name: "", Scenario: "uniform", N: 8},
+	} {
+		if w := do(t, s, "POST", "/v1/networks", sp); w.Code != http.StatusBadRequest {
+			t.Fatalf("%#v: %d %s, want 400", sp, w.Code, w.Body.String())
+		}
+		if got := do(t, s, "GET", "/v1/networks", nil).Body.String(); got != listing {
+			t.Fatalf("%#v changed the registry:\n%s\nwant\n%s", sp, got, listing)
+		}
+		if w := do(t, s, "GET", "/healthz", nil); w.Code != http.StatusOK {
+			t.Fatalf("healthz after %#v: %d", sp, w.Code)
+		}
 	}
 	if w := do(t, s, "POST", "/v1/networks", instances.Spec{Name: "uni", Scenario: "uniform", N: 8, Seed: 1}); w.Code != http.StatusConflict {
 		t.Fatalf("duplicate name: %d, want 409", w.Code)
-	}
-	// Names that would break key-prefix eviction or the DELETE route.
-	for _, bad := range []string{"a\x1fb", "a/b", ""} {
-		if w := do(t, s, "POST", "/v1/networks", instances.Spec{Name: bad, Scenario: "uniform", N: 8, Seed: 1}); w.Code != http.StatusBadRequest {
-			t.Fatalf("name %q: %d, want 400", bad, w.Code)
-		}
 	}
 	if err := NewRegistry().Register("", nil); err == nil {
 		t.Fatal("Register accepted an empty name")

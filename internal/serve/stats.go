@@ -176,18 +176,6 @@ func (s *Stats) Latencies() map[string]LatencySummary {
 	return out
 }
 
-// MechNames returns the mechanisms observed so far, sorted.
-func (s *Stats) MechNames() []string {
-	var names []string
-	s.eachHist(func(name string, h *latHist) {
-		if h.count.Load() > 0 {
-			names = append(names, name)
-		}
-	})
-	sort.Strings(names)
-	return names
-}
-
 // histSnap is one named histogram's raw exposition data (see
 // latHist.snapshot for the consistency contract).
 type histSnap struct {

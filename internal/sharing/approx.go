@@ -11,9 +11,8 @@ import (
 
 // This file implements the approximate Shapley tier: sampled-permutation
 // estimation with an explicit Hoeffding certificate. The exact method
-// (NewShapley) enumerates 2^k subsets and encodes them as uint64 masks,
-// which caps both the practical set size (~20) and the universe
-// (ShapleyAgentLimit). The sampled tier has neither cap:
+// (Shapley) enumerates 2^k subsets, which caps the set size at 20. The
+// sampled tier has no cap:
 // subsets are keyed by canonical byte strings, and the work is m·k oracle
 // calls for m sampled permutations — with a persistent subset-cost memo,
 // so permutations sharing prefixes, repeated queries, and Moulin–Shenker
@@ -63,8 +62,7 @@ type SampledShapley struct {
 
 // NewSampledShapley builds the sampled method: m permutation samples per
 // evaluation, failure budget delta ∈ (0,1), and a seed pinning the
-// permutation stream. Unlike the exact constructors there is no agent
-// cap.
+// permutation stream. Unlike the exact method there is no agent cap.
 func NewSampledShapley(agents []int, cost CostFunc, samples int, delta float64, seed int64) (*SampledShapley, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("sharing: sampled Shapley needs at least 1 sample, got %d", samples)

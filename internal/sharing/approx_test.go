@@ -1,7 +1,6 @@
 package sharing
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -53,7 +52,7 @@ func TestSampledShapleyWithinCertificate(t *testing.T) {
 		}},
 	}
 	for _, g := range games {
-		exact := NewShapley(g.agents, g.cost).Shares(g.agents)
+		exact := Shapley(g.cost).Shares(g.agents)
 		for _, samples := range []int{200, 2000} {
 			for seed := int64(1); seed <= 3; seed++ {
 				s, err := NewSampledShapley(g.agents, g.cost, samples, 1e-3, seed)
@@ -84,7 +83,7 @@ func TestSampledShapleyWithinCertificate(t *testing.T) {
 func TestSampledShapleyCertificateNotVacuous(t *testing.T) {
 	agents := []int{0, 1, 2, 3, 4}
 	cost := airportCost([]float64{1, 2, 3, 4, 5})
-	exact := NewShapley(agents, cost).Shares(agents)
+	exact := Shapley(cost).Shares(agents)
 	failed := false
 	for seed := int64(1); seed <= 10; seed++ {
 		s, err := NewSampledShapley(agents, cost, 3, 1e-3, seed)
@@ -144,10 +143,8 @@ func TestSampledShapleyRejectsBadParameters(t *testing.T) {
 	}
 }
 
-// TestShapleyAgentLimit is the regression test for the 64-agent mask
-// overflow: the exact constructors must reject n > 63 with the typed
-// error (historically bit 64 silently aliased), and the sampled tier —
-// the documented fallback — must keep working at n = 65.
+// TestShapleyAgentLimit: the sampled tier has no agent cap and keeps
+// working at n = 65, past the exact method's 20.
 func TestShapleyAgentLimit(t *testing.T) {
 	agents := make([]int, 65)
 	for i := range agents {
@@ -155,24 +152,7 @@ func TestShapleyAgentLimit(t *testing.T) {
 	}
 	cost := func(R []int) float64 { return float64(len(R)) }
 
-	_, err := NewShapleyChecked(agents, cost)
-	var lim *AgentLimitError
-	if !errors.As(err, &lim) {
-		t.Fatalf("NewShapleyChecked(65 agents) = %v, want *AgentLimitError", err)
-	}
-	if lim.N != 65 || lim.Limit != ShapleyAgentLimit {
-		t.Errorf("error reports N=%d Limit=%d, want 65/%d", lim.N, lim.Limit, ShapleyAgentLimit)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewShapley(65 agents) did not panic")
-			}
-		}()
-		NewShapley(agents, cost)
-	}()
-
-	// The sampled tier is the escape hatch: no universe cap, and on the
+	// The sampled tier is the escape hatch: no agent cap, and on the
 	// symmetric game its estimate is exactly 1 per agent (every marginal
 	// is 1), so even a tiny budget is spot-on.
 	s, err := NewSampledShapley(agents, cost, 5, 0.1, 7)

@@ -88,7 +88,7 @@ func TestShapleyBeatsIncrementalOnAverage(t *testing.T) {
 			c[i] = rng.Float64() * 10
 		}
 		cost := airportCost(c)
-		shap := &MechanismFromMethod{MechName: "s", AgentSet: agents, Xi: NewShapley(agents, cost), Cost: cost}
+		shap := &MechanismFromMethod{MechName: "s", AgentSet: agents, Xi: Shapley(cost), Cost: cost}
 		// Adversarial order: charge the closest agents the whole marginal
 		// first (reverse distance order).
 		order := append([]int(nil), agents...)

@@ -1,10 +1,8 @@
 package sharing
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"wmcs/internal/engine"
@@ -47,115 +45,6 @@ func agentsUpto(n int) []int {
 		a[i] = i
 	}
 	return a
-}
-
-// TestSharesParallelWidthInvariant is the core determinism contract:
-// the blocked reduction produces bit-identical shares at width 1 and at
-// every wider pool.
-func TestSharesParallelWidthInvariant(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 5, 7, 10, 13} {
-		agents := agentsUpto(k)
-		cost := randSubmodularCost(k, 3*k, int64(1000+k))
-		want := NewShapley(agents, cost).SharesParallel(agents, engine.Serial())
-		for _, width := range []int{2, 3, 4, 8, 16} {
-			got := NewShapley(agents, cost).SharesParallel(agents, engine.New(width))
-			if len(got) != len(want) {
-				t.Fatalf("k=%d width=%d: %d shares, want %d", k, width, len(got), len(want))
-			}
-			for a, v := range want {
-				if got[a] != v {
-					t.Fatalf("k=%d width=%d agent %d: %v != %v (bitwise)", k, width, a, got[a], v)
-				}
-			}
-		}
-	}
-}
-
-// naiveShapley evaluates the subset formula directly — every C(Q) and
-// C(Q∪{i}) queried from the oracle, no table, no blocks, no memo.
-func naiveShapley(R []int, cost CostFunc) map[int]float64 {
-	k := len(R)
-	fact := make([]float64, k+1)
-	fact[0] = 1
-	for i := 1; i <= k; i++ {
-		fact[i] = fact[i-1] * float64(i)
-	}
-	shares := make(map[int]float64, k)
-	for lm := 0; lm < 1<<k; lm++ {
-		var Q []int
-		for i := 0; i < k; i++ {
-			if lm&(1<<i) != 0 {
-				Q = append(Q, R[i])
-			}
-		}
-		if len(Q) == k {
-			continue
-		}
-		w := fact[len(Q)] * fact[k-len(Q)-1] / fact[k]
-		cq := cost(Q)
-		for i := 0; i < k; i++ {
-			if lm&(1<<i) == 0 {
-				shares[R[i]] += w * (cost(append(append([]int(nil), Q...), R[i])) - cq)
-			}
-		}
-	}
-	return shares
-}
-
-// TestSharesParallelMatchesSerial: the width-N entry reproduces Shares —
-// the width-1 entry of the same blocked reduction — bit for bit, and
-// both agree with the directly evaluated subset formula to float-sum
-// reassociation tolerance.
-func TestSharesParallelMatchesSerial(t *testing.T) {
-	for _, k := range []int{1, 2, 4, 6, 9, 12} {
-		agents := agentsUpto(k)
-		cost := randSubmodularCost(k, 2*k+1, int64(77+k))
-		serial := NewShapley(agents, cost).Shares(agents)
-		par := NewShapley(agents, cost).SharesParallel(agents, engine.New(4))
-		naive := naiveShapley(agents, cost)
-		for a, v := range serial {
-			if par[a] != v {
-				t.Fatalf("k=%d agent %d: width 4 %v != width 1 %v (bitwise)", k, a, par[a], v)
-			}
-			if d := math.Abs(naive[a] - v); d > 1e-9 {
-				t.Fatalf("k=%d agent %d: %v vs subset formula %v (diff %g)", k, a, v, naive[a], d)
-			}
-		}
-	}
-}
-
-// TestSharesParallelSubsetAndMemo exercises R ⊂ universe and verifies
-// the cost table is folded back into the cross-call memo: a second call
-// on a shrunken set must issue no fresh oracle calls, and a warm-memo
-// answer must equal a cold one bit for bit.
-func TestSharesParallelSubsetAndMemo(t *testing.T) {
-	agents := agentsUpto(8)
-	// The pool calls the oracle from several goroutines at once, so the
-	// counter must be atomic.
-	var calls atomic.Int64
-	base := randSubmodularCost(8, 12, 5)
-	counting := func(R []int) float64 { calls.Add(1); return base(R) }
-	s := NewShapley(agents, counting)
-	pool := engine.New(4)
-	R := []int{1, 2, 4, 5, 7}
-	first := s.SharesParallel(R, pool)
-	callsAfterFirst := calls.Load()
-	if callsAfterFirst == 0 {
-		t.Fatal("no oracle calls on a cold memo")
-	}
-	second := s.SharesParallel(R[:4], pool)
-	if n := calls.Load(); n != callsAfterFirst {
-		t.Fatalf("shrunken re-query issued %d fresh oracle calls, want 0", n-callsAfterFirst)
-	}
-	if len(first) != 5 || len(second) != 4 {
-		t.Fatalf("share counts %d/%d, want 5/4", len(first), len(second))
-	}
-	want := NewShapley(agents, base).Shares(R[:4])
-	for a, v := range want {
-		if second[a] != v {
-			t.Fatalf("agent %d: warm %v != cold %v", a, second[a], v)
-		}
-	}
 }
 
 // approxBatch evaluates one sampled-tier query per profile through a
@@ -202,7 +91,7 @@ func randomProfiles(agents []int, n int, seed int64) []mech.Profile {
 func TestSampledParallelWidthInvariant(t *testing.T) {
 	agents := agentsUpto(9)
 	cost := randSubmodularCost(9, 20, 42)
-	m := &MechanismFromMethod{MechName: "sampled", AgentSet: agents, Xi: NewShapley(agents, cost), Cost: cost}
+	m := &MechanismFromMethod{MechName: "sampled", AgentSet: agents, Xi: Shapley(cost), Cost: cost}
 	us := randomProfiles(agents, 12, 6)
 	spec := mech.ApproxSpec{Samples: 37, Delta: 0.05, Seed: 11}
 	wantOuts, wantCerts := approxBatch(t, m, us, spec, 1)
@@ -227,14 +116,14 @@ func TestSampledParallelWidthInvariant(t *testing.T) {
 func TestSampledParallelEstimateQuality(t *testing.T) {
 	agents := agentsUpto(6)
 	cost := randSubmodularCost(6, 10, 8)
-	m := &MechanismFromMethod{MechName: "sampled", AgentSet: agents, Xi: NewShapley(agents, cost), Cost: cost}
+	m := &MechanismFromMethod{MechName: "sampled", AgentSet: agents, Xi: Shapley(cost), Cost: cost}
 	us := randomProfiles(agents, 8, 13)
 	outs, certs := approxBatch(t, m, us, mech.ApproxSpec{Samples: 4000, Delta: 1e-3, Seed: 13}, 4)
 	for q, out := range outs {
 		if len(out.Receivers) == 0 {
 			continue
 		}
-		exact := NewShapley(agents, cost).Shares(out.Receivers)
+		exact := Shapley(cost).Shares(out.Receivers)
 		if !boundedBy(exact, out.Shares, certs[q].Epsilon) {
 			t.Fatalf("query %d: shares %v exceed ε=%g of exact %v", q, out.Shares, certs[q].Epsilon, exact)
 		}
@@ -269,27 +158,13 @@ func TestSampledParallelCounters(t *testing.T) {
 	}
 }
 
-// TestMechanismFromMethodParallelTier: M(ξ) over the exact Shapley
-// method yields the same outcome whether ξ evaluates at width 1 (Shares)
-// or on a wider pool (SharesParallel), and the sampled tier through the
-// same wrapper reproduces its bytes run after run.
+// TestMechanismFromMethodParallelTier: the sampled tier through the
+// M(ξ) wrapper reproduces its bytes run after run.
 func TestMechanismFromMethodParallelTier(t *testing.T) {
 	agents := agentsUpto(8)
 	cost := randSubmodularCost(8, 14, 31)
 	u := randomProfiles(agents, 1, 4)[0]
-	run := func(xi Method) mech.Outcome {
-		m := &MechanismFromMethod{MechName: "exact", AgentSet: agents, Xi: xi, Cost: cost}
-		return m.Run(u)
-	}
-	base := run(NewShapley(agents, cost))
-	for _, width := range []int{2, 4, 8} {
-		sh, pool := NewShapley(agents, cost), engine.New(width)
-		got := run(MethodFunc(func(R []int) map[int]float64 { return sh.SharesParallel(R, pool) }))
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("width %d outcome drifted: %+v vs %+v", width, got, base)
-		}
-	}
-	m := &MechanismFromMethod{MechName: "exact", AgentSet: agents, Xi: NewShapley(agents, cost), Cost: cost}
+	m := &MechanismFromMethod{MechName: "exact", AgentSet: agents, Xi: Shapley(cost), Cost: cost}
 	spec := mech.ApproxSpec{Samples: 33, Delta: 0.1, Seed: 5}
 	aBase, cBase, err := m.RunApprox(u, spec)
 	if err != nil {

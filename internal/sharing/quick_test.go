@@ -24,7 +24,7 @@ func TestQuickShapleySymmetry(t *testing.T) {
 		for i := range agents {
 			agents[i] = i
 		}
-		shares := NewShapley(agents, cost).Shares(agents)
+		shares := Shapley(cost).Shares(agents)
 		first := shares[0]
 		for _, v := range shares {
 			if math.Abs(v-first) > 1e-9 {
@@ -62,7 +62,7 @@ func TestQuickShapleyDummy(t *testing.T) {
 		for i := range agents {
 			agents[i] = i
 		}
-		shares := NewShapley(agents, cost).Shares(agents)
+		shares := Shapley(cost).Shares(agents)
 		return math.Abs(shares[0]) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -86,7 +86,7 @@ func TestQuickMoulinShenkerFixpoint(t *testing.T) {
 			agents[i] = i
 		}
 		cost := airportCost(c)
-		xi := NewShapley(agents, cost)
+		xi := Shapley(cost)
 		u := make([]float64, k)
 		for i := range u {
 			u[i] = rng.Float64() * 6

@@ -4,7 +4,7 @@
 // M(ξ) — iteratively dropping agents whose reported utility is below
 // their current share — is budget balanced, group strategyproof and meets
 // NPT, VP and CS [37,38]. The package provides an exact Shapley-value
-// method for arbitrary cost oracles (≤ ~20 agents), property checkers for
+// method for arbitrary cost oracles (≤ 20 agents), property checkers for
 // cross-monotonicity and submodularity, and the M(ξ) driver.
 package sharing
 
@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"wmcs/internal/engine"
 	"wmcs/internal/mech"
 )
 
@@ -36,217 +35,50 @@ type MethodFunc func(R []int) map[int]float64
 func (f MethodFunc) Shares(R []int) map[int]float64 { return f(R) }
 
 // Shapley is the exact Shapley-value cost-sharing method for an arbitrary
-// cost oracle, computed by subset enumeration over a flat table of
-// memoized cost queries:
+// cost oracle, evaluated serially from the subset formula
 //
 //	φ(R, i) = Σ_{Q ⊆ R\{i}} |Q|!(|R|−|Q|−1)!/|R|! · (C(Q∪{i}) − C(Q)).
 //
-// For non-decreasing submodular C it is cross-monotonic and budget
-// balanced [38,47]. Practical for |R| ≤ ~18.
-type Shapley struct {
-	agents []int
-	bit    map[int]uint
-	cost   CostFunc
-	cache  map[uint64]float64
-	fact   []float64
-}
-
-// ShapleyAgentLimit is the largest universe the exact Shapley method
-// accepts: subsets are encoded as bits of a uint64 mask, so a 64th agent
-// would silently alias the sign bit and corrupt the memo table.
-const ShapleyAgentLimit = 63
-
-// AgentLimitError reports a universe too large for an exact method's
-// subset-mask representation. Callers that can degrade gracefully — the
-// approximate tier, which has no mask and no limit — should match it
-// with errors.As and route the request to NewSampledShapley instead.
-type AgentLimitError struct {
-	N     int // agents requested
-	Limit int // hard cap of the representation
-}
-
-// Error implements error.
-func (e *AgentLimitError) Error() string {
-	return fmt.Sprintf("sharing: exact Shapley limited to %d agents, got %d (use the sampled tier)", e.Limit, e.N)
-}
-
-// NewShapleyChecked is NewShapley returning *AgentLimitError instead of
-// panicking when the universe exceeds ShapleyAgentLimit. Historically the
-// constructor accepted any size and the uint64 subset masks silently
-// wrapped past 64 agents; the cap is now typed and enforced.
-func NewShapleyChecked(agents []int, cost CostFunc) (*Shapley, error) {
-	if len(agents) > ShapleyAgentLimit {
-		return nil, &AgentLimitError{N: len(agents), Limit: ShapleyAgentLimit}
-	}
-	return NewShapley(agents, cost), nil
-}
-
-// NewShapley builds the method over a fixed agent universe (≤ 63 agents);
-// it panics past the cap — use NewShapleyChecked to handle that as a
-// typed error.
-func NewShapley(agents []int, cost CostFunc) *Shapley {
-	if len(agents) > ShapleyAgentLimit {
-		panic((&AgentLimitError{N: len(agents), Limit: ShapleyAgentLimit}).Error())
-	}
-	s := &Shapley{
-		agents: append([]int(nil), agents...),
-		bit:    make(map[int]uint, len(agents)),
-		cost:   cost,
-		cache:  map[uint64]float64{},
-		fact:   make([]float64, len(agents)+2),
-	}
-	sort.Ints(s.agents)
-	for idx, a := range s.agents {
-		s.bit[a] = uint(idx)
-	}
-	s.fact[0] = 1
-	for i := 1; i < len(s.fact); i++ {
-		s.fact[i] = s.fact[i-1] * float64(i)
-	}
-	return s
-}
-
-// shapleyBlockBits bounds the number of enumeration blocks the exact
-// method partitions 2^k subsets into: 2^min(k,shapleyBlockBits)
-// contiguous blocks. 64 blocks keeps the fixed merge cheap while leaving
-// enough cells to feed any realistic pool width; the count is a function
-// of k alone, never of the pool, which is what makes the reduction
-// width-stable.
-const shapleyBlockBits = 6
-
-// shapleyBlocks returns the fixed (blockCount, blockSize) partition of
-// the 2^k local-mask space. blockSize·blockCount == 2^k exactly (both
-// are powers of two).
-func shapleyBlocks(k int) (count, size uint64) {
-	bb := shapleyBlockBits
-	if k < bb {
-		bb = k
-	}
-	count = 1 << uint(bb)
-	size = (uint64(1) << uint(k)) / count
-	return count, size
-}
-
-// Shares implements Method: SharesParallel at width 1.
-func (s *Shapley) Shares(R []int) map[int]float64 { return s.SharesParallel(R, nil) }
-
-// SharesParallel computes exact Shapley shares of R with the subset
-// enumeration partitioned into the fixed blocks of shapleyBlocks and
-// evaluated by the pool's workers. Phase 1 fills a flat cost table
-// (one entry per local subset mask, each computed exactly once, warm
-// ones read from the cross-call memo); phase 2 accumulates one partial
-// share vector per block and folds them in block order. A nil or
-// width-1 pool runs the identical blocked reduction serially, so the
-// result is byte-identical at every width.
-//
-// The cost oracle must be safe for concurrent calls when the pool is
-// wider than 1 (the oracles in this repo are pure functions). The
-// method panics for |R| > 20 (2^|R| enumeration).
-func (s *Shapley) SharesParallel(R []int, pool *engine.Pool) map[int]float64 {
-	k := len(R)
-	if k == 0 {
-		return map[int]float64{}
-	}
-	if k > 20 {
-		panic(fmt.Sprintf("sharing: Shapley.Shares limited to 20 agents, got %d", k))
-	}
-	local := make([]uint64, k) // local[i] = universe mask bit of R[i]
-	for i, a := range R {
-		b, ok := s.bit[a]
-		if !ok {
-			panic(fmt.Sprintf("sharing: agent %d not in universe", a))
+// Each call fills a flat table of the 2^|R| subset costs, indexed by
+// local mask (bit j stands for R[j]), and makes one weighted pass over
+// it. For non-decreasing submodular C it is cross-monotonic and budget
+// balanced [38,47]. It panics for |R| > 20 (2^|R| enumeration).
+func Shapley(cost CostFunc) Method {
+	return MethodFunc(func(R []int) map[int]float64 {
+		k := len(R)
+		if k > 20 {
+			panic(fmt.Sprintf("sharing: Shapley limited to 20 agents, got %d", k))
 		}
-		local[i] = 1 << b
-	}
-	nBlocks, blockSize := shapleyBlocks(k)
-
-	// Phase 1: the subset-cost table, tab[lm] = C(Q(lm)) for every local
-	// mask lm. Each entry is written by exactly one block task, and its
-	// value depends only on the (deterministic) oracle — never on
-	// scheduling. Warm entries come from the cross-call memo, which is
-	// read-only for the duration of the parallel section.
-	tab := make([]float64, uint64(1)<<uint(k))
-	cold := len(s.cache) == 0 // no memo to consult — skip the per-mask probes
-	engine.Map(pool, int(nBlocks), func(b int) struct{} {
+		tab := make([]float64, 1<<k) // tab[m] = C({R[j] : bit j of m})
 		members := make([]int, 0, k)
-		lo, hi := uint64(b)*blockSize, (uint64(b)+1)*blockSize
-		for lm := lo; lm < hi; lm++ {
-			if lm == 0 {
-				continue // C(∅) = 0, tab already zero
-			}
-			var gm uint64
-			for t := lm; t != 0; t &= t - 1 { // walk set bits only
-				gm |= local[bits.TrailingZeros64(t)]
-			}
-			if !cold {
-				if c, ok := s.cache[gm]; ok {
-					tab[lm] = c
-					continue
-				}
-			}
+		for m := 1; m < len(tab); m++ {
 			members = members[:0]
-			for t := gm; t != 0; t &= t - 1 {
-				members = append(members, s.agents[bits.TrailingZeros64(t)])
+			for t := m; t != 0; t &= t - 1 {
+				members = append(members, R[bits.TrailingZeros(uint(t))])
 			}
-			tab[lm] = s.cost(members)
+			tab[m] = cost(members)
 		}
-		return struct{}{}
+		fact := make([]float64, k+1)
+		fact[0] = 1
+		for i := 1; i <= k; i++ {
+			fact[i] = fact[i-1] * float64(i)
+		}
+		sums := make([]float64, k)
+		full := len(tab) - 1
+		for m, cq := range tab[:full] {
+			q := bits.OnesCount(uint(m))
+			w := fact[q] * fact[k-q-1] / fact[k]
+			for t := full &^ m; t != 0; t &= t - 1 { // i ∉ Q
+				i := bits.TrailingZeros(uint(t))
+				sums[i] += w * (tab[m|1<<i] - cq)
+			}
+		}
+		shares := make(map[int]float64, k)
+		for i, a := range R {
+			shares[a] = sums[i]
+		}
+		return shares
 	})
-	// Publish the misses back into the cross-call memo so later rounds
-	// (Moulin–Shenker shrinks R between calls) reuse them. Serial, in
-	// ascending mask order: deterministic content either way (the oracle
-	// is a function), but keeping one writer keeps the map honest. On a
-	// cold memo the map is pre-sized (lm↔gm is a bijection, so every
-	// entry is fresh) and inserted without probes; rehash-free growth is
-	// a measurable share of the whole call at k = 18.
-	if cold {
-		s.cache = make(map[uint64]float64, uint64(1)<<uint(k))
-	}
-	for lm := uint64(1); lm < uint64(1)<<uint(k); lm++ {
-		var gm uint64
-		for t := lm; t != 0; t &= t - 1 {
-			gm |= local[bits.TrailingZeros64(t)]
-		}
-		if cold {
-			s.cache[gm] = tab[lm]
-		} else if _, ok := s.cache[gm]; !ok {
-			s.cache[gm] = tab[lm]
-		}
-	}
-
-	// Phase 2: per-block partial share vectors over the flat table.
-	kf := s.fact[k]
-	fullLM := (uint64(1) << uint(k)) - 1
-	parts := engine.Map(pool, int(nBlocks), func(b int) []float64 {
-		part := make([]float64, k)
-		lo, hi := uint64(b)*blockSize, (uint64(b)+1)*blockSize
-		for lm := lo; lm < hi; lm++ {
-			qSize := bits.OnesCount64(lm)
-			if qSize == k {
-				continue
-			}
-			w := s.fact[qSize] * s.fact[k-qSize-1] / kf
-			cq := tab[lm]
-			for t := fullLM &^ lm; t != 0; t &= t - 1 { // i ∉ Q, ascending
-				i := bits.TrailingZeros64(t)
-				part[i] += w * (tab[lm|1<<uint(i)] - cq)
-			}
-		}
-		return part
-	})
-	// Fixed-order merge: fold the partials in block order, then bind to
-	// agent ids. The fold order is part of the determinism contract.
-	sums := make([]float64, k)
-	for _, part := range parts {
-		for i := 0; i < k; i++ {
-			sums[i] += part[i]
-		}
-	}
-	shares := make(map[int]float64, k)
-	for i, a := range R {
-		shares[a] = sums[i]
-	}
-	return shares
 }
 
 // MoulinShenkerResult is the outcome of the M(ξ) iteration.

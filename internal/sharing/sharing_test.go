@@ -25,7 +25,7 @@ func airportCost(c []float64) CostFunc {
 
 func TestShapleyAirportClosedForm(t *testing.T) {
 	c := []float64{1, 2, 3}
-	sh := NewShapley([]int{0, 1, 2}, airportCost(c))
+	sh := Shapley(airportCost(c))
 	got := sh.Shares([]int{0, 1, 2})
 	want := map[int]float64{0: 1.0 / 3, 1: 1.0/3 + 0.5, 2: 1.0/3 + 0.5 + 1}
 	for i, w := range want {
@@ -44,7 +44,7 @@ func TestShapleyAirportClosedForm(t *testing.T) {
 
 func TestShapleySymmetricGame(t *testing.T) {
 	cost := func(R []int) float64 { return float64(len(R)) }
-	sh := NewShapley([]int{0, 1, 2, 3}, cost)
+	sh := Shapley(cost)
 	got := sh.Shares([]int{0, 1, 2, 3})
 	for i, v := range got {
 		if math.Abs(v-1) > 1e-9 {
@@ -54,7 +54,7 @@ func TestShapleySymmetricGame(t *testing.T) {
 }
 
 func TestShapleyEmptyAndSubsets(t *testing.T) {
-	sh := NewShapley([]int{3, 7}, func(R []int) float64 { return float64(len(R)) * 2 })
+	sh := Shapley(func(R []int) float64 { return float64(len(R)) * 2 })
 	if got := sh.Shares(nil); len(got) != 0 {
 		t.Error("empty R should have no shares")
 	}
@@ -71,7 +71,7 @@ func TestShapleyBudgetBalanceProperty(t *testing.T) {
 		c[i] = rng.Float64() * 10
 	}
 	agents := []int{0, 1, 2, 3, 4, 5}
-	sh := NewShapley(agents, airportCost(c))
+	sh := Shapley(airportCost(c))
 	if err := CheckBudgetBalanced(sh, airportCost(c), agents, rng, 100, 1e-7); err != nil {
 		t.Error(err)
 	}
@@ -84,7 +84,7 @@ func TestShapleyCrossMonotoneOnSubmodular(t *testing.T) {
 		c[i] = rng.Float64() * 10
 	}
 	agents := []int{0, 1, 2, 3, 4, 5}
-	sh := NewShapley(agents, airportCost(c))
+	sh := Shapley(airportCost(c))
 	if err := CheckCrossMonotone(sh, agents, rng, 200, 1e-7); err != nil {
 		t.Error(err)
 	}
@@ -126,7 +126,7 @@ func TestCheckSubmodular(t *testing.T) {
 func TestMoulinShenkerAirport(t *testing.T) {
 	c := []float64{1, 2, 3}
 	agents := []int{0, 1, 2}
-	sh := NewShapley(agents, airportCost(c))
+	sh := Shapley(airportCost(c))
 	u := mech.Profile{0.2, 1, 5}
 	res := MoulinShenker(agents, sh, u)
 	if len(res.Receivers) != 2 || res.Receivers[0] != 1 || res.Receivers[1] != 2 {
@@ -143,7 +143,7 @@ func TestMoulinShenkerAirport(t *testing.T) {
 
 func TestMoulinShenkerAllDrop(t *testing.T) {
 	c := []float64{5, 5}
-	sh := NewShapley([]int{0, 1}, airportCost(c))
+	sh := Shapley(airportCost(c))
 	res := MoulinShenker([]int{0, 1}, sh, mech.Profile{0.1, 0.1})
 	if len(res.Receivers) != 0 {
 		t.Errorf("receivers = %v", res.Receivers)
@@ -158,7 +158,7 @@ func TestMechanismFromMethodAxioms(t *testing.T) {
 	m := &MechanismFromMethod{
 		MechName: "shapley-airport",
 		AgentSet: agents,
-		Xi:       NewShapley(agents, cost),
+		Xi:       Shapley(cost),
 		Cost:     cost,
 	}
 	if m.Name() != "shapley-airport" || len(m.Agents()) != 4 {
@@ -189,25 +189,40 @@ func TestMechanismFromMethodAxioms(t *testing.T) {
 	}
 }
 
-func TestShapleyPanicsOutsideUniverse(t *testing.T) {
-	sh := NewShapley([]int{0, 1}, func(R []int) float64 { return 1 })
+// TestShapleyPanicsPastTwentyAgents pins the input guard: 20 agents are
+// enumerated, 21 panic before the first oracle call.
+func TestShapleyPanicsPastTwentyAgents(t *testing.T) {
+	calls := 0
+	sh := Shapley(func(R []int) float64 { calls++; return float64(len(R)) })
+	if got := sh.Shares(agentsUpto(20)); len(got) != 20 || math.Abs(got[19]-1) > 1e-9 {
+		t.Fatalf("20 agents: %d shares, share[19] = %g, want 20 shares of 1", len(got), got[19])
+	}
+	calls = 0
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Fatal("Shares on 21 agents did not panic")
+		}
+		if calls != 0 {
+			t.Fatalf("%d oracle calls before the panic, want 0", calls)
 		}
 	}()
-	sh.Shares([]int{5})
+	sh.Shares(agentsUpto(21))
 }
 
 // Property: Shapley equals the average marginal contribution over all
-// permutations (direct definition) on small random games.
+// permutations (direct definition) on small random games. The receiver
+// sets include |R| = 0 and 1 and ids that are not their positions in R,
+// so a method that confused the two would fail.
 func TestShapleyMatchesPermutationDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	sets := [][]int{nil, {4}, {3, 7, 11}, {12, 2, 9, 5}}
 	for trial := 0; trial < 10; trial++ {
-		k := 2 + rng.Intn(4)
+		sets = append(sets, agentsUpto(2+rng.Intn(4)))
+	}
+	for trial, R := range sets {
 		// Random monotone cost: C(R) = max of random singleton values plus
 		// a concave size term.
-		vals := make([]float64, k)
+		vals := make([]float64, 16)
 		for i := range vals {
 			vals[i] = rng.Float64() * 5
 		}
@@ -220,19 +235,17 @@ func TestShapleyMatchesPermutationDefinition(t *testing.T) {
 			}
 			return m + math.Sqrt(float64(len(R)))
 		}
-		agents := make([]int, k)
-		for i := range agents {
-			agents[i] = i
+		got := Shapley(cost).Shares(R)
+		if len(got) != len(R) {
+			t.Fatalf("trial %d: %d shares for R=%v", trial, len(got), R)
 		}
-		sh := NewShapley(agents, cost)
-		got := sh.Shares(agents)
 		// Permutation average.
-		want := make([]float64, k)
-		perm := make([]int, k)
-		var rec func(depth int, used uint, count *int)
+		want := make(map[int]float64, len(R))
+		perm := make([]int, 0, len(R))
 		nperm := 0
-		rec = func(depth int, used uint, _ *int) {
-			if depth == k {
+		var rec func(used uint)
+		rec = func(used uint) {
+			if len(perm) == len(R) {
 				nperm++
 				var pre []int
 				for _, i := range perm {
@@ -243,18 +256,18 @@ func TestShapleyMatchesPermutationDefinition(t *testing.T) {
 				}
 				return
 			}
-			for i := 0; i < k; i++ {
-				if used&(1<<uint(i)) == 0 {
-					perm[depth] = i
-					rec(depth+1, used|1<<uint(i), nil)
+			for j, i := range R {
+				if used&(1<<uint(j)) == 0 {
+					perm = append(perm, i)
+					rec(used | 1<<uint(j))
+					perm = perm[:len(perm)-1]
 				}
 			}
 		}
-		rec(0, 0, nil)
-		for i := 0; i < k; i++ {
-			want[i] /= float64(nperm)
-			if math.Abs(got[i]-want[i]) > 1e-7 {
-				t.Fatalf("trial %d: share[%d] = %g want %g", trial, i, got[i], want[i])
+		rec(0)
+		for _, i := range R {
+			if w := want[i] / float64(nperm); math.Abs(got[i]-w) > 1e-7 {
+				t.Fatalf("trial %d R=%v: share[%d] = %g want %g", trial, R, i, got[i], w)
 			}
 		}
 	}

@@ -101,7 +101,7 @@ func TestShapleyMatchesExactFormula(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		nw, ut := randomTree(rng, 8, 2, 2)
 		agents := nw.AllReceivers()
-		exact := sharing.NewShapley(agents, ut.CostFunc())
+		exact := sharing.Shapley(ut.CostFunc())
 		// Random subset R.
 		var R []int
 		for _, a := range agents {

@@ -430,56 +430,3 @@ func OptimalMulticastCost(nw *Network, R []int) float64 {
 	c, _ := ExactMEMT(nw, R)
 	return c
 }
-
-// LowerBoundMulticastCost returns a lower bound on C*(R) usable at any n:
-// the maximum over receivers of the cheapest single relay hop into that
-// receiver is necessary, and so is the cost of the source's cheapest
-// outgoing edge; the bound is their maximum combined with a shortest-path
-// bound (the cheapest c-weighted path from s to the farthest receiver,
-// which no assignment can undercut because each hop must be paid by its
-// transmitter).
-func LowerBoundMulticastCost(nw *Network, R []int) float64 {
-	if len(R) == 0 {
-		return 0
-	}
-	tree := dijkstraFromSource(nw)
-	var bound float64
-	for _, r := range R {
-		if tree[r] > bound {
-			bound = tree[r]
-		}
-	}
-	return bound
-}
-
-// dijkstraFromSource returns single-source shortest path distances over
-// the complete cost graph.
-func dijkstraFromSource(nw *Network) []float64 {
-	n := nw.N()
-	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[nw.Source()] = 0
-	for it := 0; it < n; it++ {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 {
-			break
-		}
-		done[u] = true
-		for v := 0; v < n; v++ {
-			if !done[v] {
-				if nd := best + nw.C(u, v); nd < dist[v] {
-					dist[v] = nd
-				}
-			}
-		}
-	}
-	return dist
-}

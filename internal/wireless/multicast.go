@@ -1,9 +1,6 @@
 package wireless
 
-import (
-	"wmcs/internal/graph"
-	"wmcs/internal/mst"
-)
+import "wmcs/internal/mst"
 
 // SPTMulticast builds a multicast tree from the shortest-path tree of the
 // cost graph pruned to the receivers — the Penna–Ventre [43] universal
@@ -75,16 +72,4 @@ var MulticastHeuristics = []struct {
 	{Name: "mst-pruned", Build: MSTMulticast},
 	{Name: "bip-pruned", Build: BIPMulticast},
 	{Name: "spt-pruned", Build: SPTMulticast},
-}
-
-// ArcsOf lists the directed edges of a multicast tree (parent → child),
-// useful for rendering and debugging.
-func ArcsOf(t Tree) []graph.Edge {
-	var arcs []graph.Edge
-	for v, p := range t.Parent {
-		if p >= 0 {
-			arcs = append(arcs, graph.Edge{From: p, To: v})
-		}
-	}
-	return arcs
 }

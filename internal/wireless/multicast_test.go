@@ -58,13 +58,3 @@ func TestSPTMulticastSingleReceiverIsShortestPath(t *testing.T) {
 		t.Errorf("SPT on a chain should be optimal: %g vs %g", a.Total(), opt)
 	}
 }
-
-func TestArcsOf(t *testing.T) {
-	tr := NewTree(4, 0)
-	tr.Parent[1] = 0
-	tr.Parent[2] = 1
-	arcs := ArcsOf(tr)
-	if len(arcs) != 2 || arcs[0].From != 0 || arcs[1].To != 2 {
-		t.Errorf("arcs = %v", arcs)
-	}
-}

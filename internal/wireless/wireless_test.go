@@ -367,25 +367,6 @@ func TestLineChainCanonicalCanBeSuboptimal(t *testing.T) {
 	}
 }
 
-func TestLowerBoundMulticastCost(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	for trial := 0; trial < 15; trial++ {
-		nw := randomNet(rng, 8, 2, 2)
-		R := []int{1, 3, 5, 7}
-		opt, _ := ExactMEMT(nw, R)
-		lb := LowerBoundMulticastCost(nw, R)
-		if lb > opt+1e-9 {
-			t.Fatalf("trial %d: lower bound %g exceeds optimum %g", trial, lb, opt)
-		}
-		if lb <= 0 {
-			t.Fatalf("trial %d: lower bound should be positive", trial)
-		}
-	}
-	if LowerBoundMulticastCost(randomNet(rng, 5, 2, 2), nil) != 0 {
-		t.Error("empty R should bound 0")
-	}
-}
-
 func TestLineOptimalEmpty(t *testing.T) {
 	nw := lineNet(2, 0, 0, 1, 2)
 	c, a := LineOptimal(nw, nil)
