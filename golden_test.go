@@ -63,14 +63,20 @@ func corpusSpecs() []instances.Spec {
 	return specs
 }
 
+// corpusApprox is the sampled-tier spec the corpus pins: each mechanism
+// whose descriptor declares Approx answers its first request again with
+// it.
+var corpusApprox = serve.ApproxWire{Samples: 256, Delta: 0.05, Seed: 1}
+
 // renderServedCorpus renders one line per query: the network, its
-// version, the canonical key and the exact-tier response bytes, computed
-// as the server computes a cache miss (serve.Canonicalize, then
-// query.Evaluator, then serve.EncodeOutcome). Per network, every
+// version, the canonical key and the response bytes, computed as the
+// server computes a cache miss (serve.Canonicalize, then
+// query.Evaluator, then serve.EncodeOutcomeCert). Per network, every
 // supported registry mechanism answers three (R, u) drawn from the
-// uniform workload at version 0, and the same requests again after one
-// PATCH: the first delta of the network's churn model, applied through
-// VersionedEvaluator.Update.
+// uniform workload, and a mechanism with a sampled tier answers the
+// first of them once more under corpusApprox. The requests run at
+// version 0 and again after one PATCH: the first delta of the network's
+// churn model, applied through VersionedEvaluator.Update.
 func renderServedCorpus() ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString("# network version key response — regenerate: go test -run '^TestServedCorpus$' -update .\n")
@@ -90,6 +96,15 @@ func renderServedCorpus() ([]byte, error) {
 				q := smp.Next()
 				reqs = append(reqs, serve.EvalRequest{Network: sp.Name, Mech: name, R: q.R, Profile: q.U})
 			}
+			d, err := mechreg.ByName(name)
+			if err != nil {
+				return nil, err
+			}
+			if d.Approx {
+				req := reqs[len(reqs)-3]
+				req.Approx = &corpusApprox
+				reqs = append(reqs, req)
+			}
 		}
 		ve := query.NewVersioned(nw)
 		render := func() error {
@@ -99,11 +114,11 @@ func renderServedCorpus() ([]byte, error) {
 				if err != nil {
 					return err
 				}
-				resp := cur.Ev.EvaluateOne(query.Request{Mech: c.Mech, Profile: c.Profile})
+				resp := cur.Ev.EvaluateOne(query.Request{Mech: c.Mech, Profile: c.Profile, Approx: c.Approx})
 				if resp.Err != nil {
 					return fmt.Errorf("%s %s: %w", sp.Name, c.Mech, resp.Err)
 				}
-				body, err := serve.EncodeOutcome(sp.Name, c.Mech, resp.Outcome)
+				body, err := serve.EncodeOutcomeCert(sp.Name, c.Mech, resp.Outcome, resp.Cert)
 				if err != nil {
 					return err
 				}
