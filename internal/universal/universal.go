@@ -15,6 +15,7 @@ package universal
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"wmcs/internal/mech"
 	"wmcs/internal/mst"
@@ -62,15 +63,54 @@ func (ut *Tree) Multicast(R []int) wireless.Tree {
 	return wireless.PruneTree(ut.Span, R)
 }
 
-// Assignment returns the power assignment induced by T(R).
-func (ut *Tree) Assignment(R []int) wireless.Assignment {
-	return ut.Net.AssignmentForTree(ut.Multicast(R))
+// costBuf is Cost's scratch: which stations T(R) keeps, and each
+// station's transmit power.
+type costBuf struct {
+	need []bool
+	pow  []float64
 }
 
+// costBufs pools Cost's scratch across calls and goroutines; the sampled
+// Shapley tier prices tens of thousands of subsets per query.
+var costBufs = sync.Pool{New: func() any { return new(costBuf) }}
+
 // Cost returns C(R), the total power of the assignment induced by T(R).
-// It is the non-decreasing submodular cost function of Lemma 2.1.
+// It is the non-decreasing submodular cost function of Lemma 2.1. It
+// computes Net.AssignmentForTree(Multicast(R)).Total() with the same
+// maxima and the same ascending summation, so the bits match, in one
+// dense pass over pooled scratch that allocates nothing.
 func (ut *Tree) Cost(R []int) float64 {
-	return ut.Assignment(R).Total()
+	n := ut.Net.N()
+	b := costBufs.Get().(*costBuf)
+	defer costBufs.Put(b)
+	if cap(b.need) < n {
+		b.need, b.pow = make([]bool, n), make([]float64, n)
+	}
+	need, pow := b.need[:n], b.pow[:n]
+	clear(need)
+	clear(pow)
+	span := ut.Span
+	need[span.Root] = true
+	for _, v := range R {
+		if !span.InTree(v) {
+			continue
+		}
+		for x := v; x != -1 && !need[x]; x = span.Parent[x] {
+			need[x] = true
+		}
+	}
+	for v, p := range span.Parent {
+		if need[v] && v != span.Root && p >= 0 {
+			if c := ut.Net.C(p, v); c > pow[p] {
+				pow[p] = c
+			}
+		}
+	}
+	var total float64
+	for _, p := range pow {
+		total += p
+	}
+	return total
 }
 
 // CostFunc adapts Cost to the sharing package's oracle type.

@@ -53,7 +53,7 @@ func TestCostChain(t *testing.T) {
 
 func TestAssignmentFeasible(t *testing.T) {
 	nw, ut := chainNet()
-	a := ut.Assignment([]int{2})
+	a := nw.AssignmentForTree(ut.Multicast([]int{2}))
 	if !nw.Feasible(a, []int{2}) {
 		t.Error("induced assignment infeasible")
 	}
@@ -279,7 +279,7 @@ func TestSPTvsMSTTrees(t *testing.T) {
 	// Both are valid universal trees; their broadcast costs may differ but
 	// both must be feasible.
 	for _, ut := range []*Tree{spt, mstT} {
-		if !nw.Feasible(ut.Assignment(all), all) {
+		if !nw.Feasible(ut.Net.AssignmentForTree(ut.Multicast(all)), all) {
 			t.Fatal("broadcast assignment infeasible")
 		}
 	}
