@@ -3,6 +3,8 @@ package sharing
 import (
 	"math"
 	"testing"
+
+	"wmcs/internal/mech"
 )
 
 // boundedBy reports whether every agent's sampled share is within eps of
@@ -109,7 +111,7 @@ func TestSampledShapleyDeterministic(t *testing.T) {
 	cost := airportCost([]float64{0, 0, 1, 0, 0, 2, 0, 5, 0, 0, 0, 4})
 	a, _ := NewSampledShapley(agents, cost, 50, 0.05, 42)
 	b, _ := NewSampledShapley(agents, cost, 50, 0.05, 42)
-	// Warm b with a different subset first: the shared memo must not
+	// Run b on a different subset first: an earlier call must not
 	// perturb the permutation stream.
 	b.Shares([]int{2, 5})
 	s1, c1 := a.SharesCert(agents)
@@ -121,9 +123,6 @@ func TestSampledShapleyDeterministic(t *testing.T) {
 		if math.Float64bits(s1[i]) != math.Float64bits(s2[i]) {
 			t.Fatalf("share[%d] not bit-equal: %x vs %x", i, s1[i], s2[i])
 		}
-	}
-	if a.Hits == 0 {
-		t.Error("no memo hits across 50 permutations; prefix reuse is not happening")
 	}
 }
 
@@ -173,23 +172,60 @@ func TestShapleyAgentLimit(t *testing.T) {
 	}
 }
 
-// TestSampledShapleyWarmProbesAllocateNothing pins that a memo probe
-// allocates nothing: on a warm estimator, where every subset the
-// permutation stream visits is already priced, SharesCert allocates the
-// same at 64 and at 512 samples. A probe that built its key per call
-// would add allocations in proportion to the samples.
-func TestSampledShapleyWarmProbesAllocateNothing(t *testing.T) {
+// TestSampledShapleyAllocsIndependentOfSamples pins that pricing a
+// permutation prefix allocates nothing: a fresh estimator's SharesCert
+// allocates the same at 64 and at 512 samples over an allocation-free
+// cost oracle. A per-call allocation anywhere in the permutation walk
+// (a memo insert, a probe key) would add allocations in proportion to
+// the samples.
+func TestSampledShapleyAllocsIndependentOfSamples(t *testing.T) {
 	agents := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	cost := airportCost([]float64{0, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8})
 	allocs := func(samples int) float64 {
-		s, err := NewSampledShapley(agents, cost, samples, 0.05, 9)
+		return testing.AllocsPerRun(10, func() {
+			s, err := NewSampledShapley(agents, cost, samples, 0.05, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SharesCert(agents)
+		})
+	}
+	if few, many := allocs(64), allocs(512); few != many {
+		t.Fatalf("a fresh estimator's SharesCert allocates %v at 64 samples and %v at 512", few, many)
+	}
+}
+
+// TestRunApproxCertMatchesSharesCert pins that the sampled mechanism's
+// certificate, computed from the survivors' singleton costs, equals
+// SharesCert(res.Receivers)'s bit for bit: over random profiles, and
+// over the all-zero profile whose survivor set is empty.
+func TestRunApproxCertMatchesSharesCert(t *testing.T) {
+	agents := agentsUpto(9)
+	cost := randSubmodularCost(9, 20, 17)
+	m := &MechanismFromMethod{MechName: "sampled", AgentSet: agents, Xi: Shapley(cost), Cost: cost}
+	spec := mech.ApproxSpec{Samples: 48, Delta: 0.05, Seed: 3}
+	us := append(randomProfiles(agents, 16, 8), make(mech.Profile, len(agents)))
+	sawEmpty, sawPartial := false, false
+	for q, u := range us {
+		out, cert, err := m.RunApprox(u, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SharesCert(agents) // warm: prices every subset the stream visits
-		return testing.AllocsPerRun(10, func() { s.SharesCert(agents) })
+		sawEmpty = sawEmpty || len(out.Receivers) == 0
+		sawPartial = sawPartial || (len(out.Receivers) > 0 && len(out.Receivers) < len(agents))
+		s, err := NewSampledShapley(agents, cost, spec.Samples, spec.Delta, spec.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := s.SharesCert(out.Receivers)
+		if cert.Samples != want.Samples ||
+			math.Float64bits(cert.Epsilon) != math.Float64bits(want.Epsilon) ||
+			math.Float64bits(cert.Delta) != math.Float64bits(want.Delta) ||
+			math.Float64bits(cert.DeltaMax) != math.Float64bits(want.DeltaMax) {
+			t.Fatalf("profile %d (survivors %v): RunApprox cert %+v, SharesCert %+v", q, out.Receivers, cert, want)
+		}
 	}
-	if few, many := allocs(64), allocs(512); few != many {
-		t.Fatalf("warm SharesCert allocates %v at 64 samples and %v at 512; memo probes allocate", few, many)
+	if !sawEmpty || !sawPartial {
+		t.Fatalf("profiles left no empty (%v) or no partial (%v) survivor set; the check misses a case", sawEmpty, sawPartial)
 	}
 }

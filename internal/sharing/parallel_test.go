@@ -130,34 +130,6 @@ func TestSampledParallelEstimateQuality(t *testing.T) {
 	}
 }
 
-// TestSampledParallelCounters: Queries/Hits are deterministic — equal on
-// identical instances evaluated concurrently — and the fresh costs land
-// in the memo (a replay is all hits).
-func TestSampledParallelCounters(t *testing.T) {
-	agents := agentsUpto(6)
-	cost := randSubmodularCost(6, 10, 21)
-	type counts struct{ queries, hits, replayQueries int }
-	run := func(int) counts {
-		s, _ := NewSampledShapley(agents, cost, 16, 0.1, 2)
-		s.SharesCert(agents)
-		q, h := s.Queries, s.Hits
-		s.SharesCert(agents)
-		return counts{q, h, s.Queries - q}
-	}
-	want := run(0)
-	if want.queries == 0 {
-		t.Fatal("no oracle queries recorded")
-	}
-	if want.replayQueries != 0 {
-		t.Fatalf("replay issued %d fresh queries, want 0", want.replayQueries)
-	}
-	for i, got := range engine.Map(engine.New(4), 8, run) {
-		if got != want {
-			t.Fatalf("instance %d: counters %+v differ from %+v", i, got, want)
-		}
-	}
-}
-
 // TestMechanismFromMethodParallelTier: the sampled tier through the
 // M(ξ) wrapper reproduces its bytes run after run.
 func TestMechanismFromMethodParallelTier(t *testing.T) {

@@ -256,10 +256,9 @@ func (m *MechanismFromMethod) RunApprox(u mech.Profile, spec mech.ApproxSpec) (m
 		return mech.Outcome{}, mech.ApproxCert{}, err
 	}
 	res := MoulinShenker(m.AgentSet, s, u)
-	// The final round's certificate: SharesCert on the surviving set
-	// replays the identical permutation stream against a warm memo, so
-	// this costs no fresh oracle calls.
-	_, cert := s.SharesCert(res.Receivers)
+	// The final round's certificate is the one SharesCert(res.Receivers)
+	// returns; it needs only the survivors' singleton costs.
+	cert := s.cert(res.Receivers)
 	return mech.Outcome{
 		Receivers: res.Receivers,
 		Shares:    res.Shares,
