@@ -169,8 +169,9 @@ func TestPatchOverlappingDisableWindows(t *testing.T) {
 }
 
 // TestPatchErrors pins the PATCH failure modes: unknown network (404),
-// empty or malformed delta (400), an op the network's class rejects
-// (422) — with nothing applied in any failure case.
+// empty or malformed delta (400), an op the network's class or the
+// DisabledCost bound rejects (422) — with nothing applied in any failure
+// case.
 func TestPatchErrors(t *testing.T) {
 	s := newTestServer(t, Options{})
 	if w := do(t, s, "PATCH", "/v1/networks/nope", instances.Update{Disable: []int{1}}); w.Code != http.StatusNotFound {
@@ -185,6 +186,7 @@ func TestPatchErrors(t *testing.T) {
 		{Moves: []instances.MoveOp{{Station: 99, Point: []float64{1, 1}}}},
 		{Disable: []int{0}}, // the source
 		{Enable: []int{3}},  // already enabled
+		{Moves: []instances.MoveOp{{Station: 3, Point: []float64{1e200, 0}}}}, // costs overflow past DisabledCost
 	}
 	for i, up := range cases {
 		if w := do(t, s, "PATCH", "/v1/networks/uni", up); w.Code != http.StatusUnprocessableEntity {

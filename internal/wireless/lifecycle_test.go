@@ -104,6 +104,17 @@ func TestMoveStationRecomputesRow(t *testing.T) {
 	if _, err := nw.MoveStation(9, dst); err == nil {
 		t.Fatal("out-of-range station accepted")
 	}
+	// A move whose costs reach the disabled-station sentinel (1e5² =
+	// 1e10) or overflow to +Inf (1e200²) is rejected and changes nothing.
+	before := nw.Snapshot()
+	for _, far := range []geom.Point{{1e5, 0}, {1e200, 0}} {
+		if _, err := nw.MoveStation(2, far); err == nil {
+			t.Fatalf("move to %v accepted", far)
+		}
+	}
+	if !nw.StateEqual(before) || !nw.Points()[2].Equal(dst) || nw.Version() != 1 {
+		t.Fatalf("rejected far moves changed the network: point %v, version %d", nw.Points()[2], nw.Version())
+	}
 	if _, err := testSymmetric(4).MoveStation(1, geom.Point{0, 0}); err == nil {
 		t.Fatal("MoveStation accepted on an abstract network")
 	}
