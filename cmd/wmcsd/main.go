@@ -2,13 +2,14 @@
 // a registry of named networks (each backed by one shared query
 // evaluator) and serves per-receiver-set cost-sharing queries over HTTP
 // with canonicalized result caching, singleflight coalescing and a bound
-// of -parallel-eval concurrent evaluations (see DESIGN.md §8).
+// of -parallel-eval concurrent evaluations, GOMAXPROCS unless set (see
+// DESIGN.md §8).
 //
 // Usage:
 //
 //	wmcsd                                  # demo networks on :8571
 //	wmcsd -addr :9000 -manifest nets.json  # a startup manifest of scenario specs
-//	wmcsd -cache 65536 -parallel-eval 4    # bigger cache, four concurrent evaluations
+//	wmcsd -cache 65536 -parallel-eval 1    # bigger cache, one evaluation at a time
 //	wmcsd -log json -slow 100ms            # JSON logs, 100ms slow threshold
 //	wmcsd -pprof 127.0.0.1:6060            # net/http/pprof on a separate loopback listener
 //
@@ -42,7 +43,7 @@ func main() {
 		manifest   = flag.String("manifest", "", "startup manifest: JSON array of scenario specs (default: a demo set)")
 		cache      = flag.Int("cache", serve.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
 		shards     = flag.Int("shards", 0, "result-cache shard count (0 = default 16)")
-		parEval    = flag.Int("parallel-eval", 1, "evaluation width: wireless-bb spider-oracle scans and concurrent evaluations (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
+		parEval    = flag.Int("parallel-eval", 0, "evaluation width: wireless-bb spider-oracle scans and concurrent evaluations (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 		logFormat  = flag.String("log", "text", "log format: text or json")
 		slow       = flag.Duration("slow", serve.DefaultSlowRequest, "slow-request threshold: OK responses at or above it are logged and counted (negative disables)")

@@ -29,6 +29,10 @@
 //	wmcsload -workload uniform       # cache-adversarial baseline
 //	wmcsload -quick                  # small run for CI smoke
 //	wmcsload -parallel 16 -queries 8000 -json
+//	wmcsload -quick -parallel-eval 1  # in-process server at one compute slot
+//
+// The in-process server evaluates at -parallel-eval, GOMAXPROCS unless
+// set, as wmcsd does.
 package main
 
 import (
@@ -68,7 +72,7 @@ func main() {
 			"comma-separated mechanism names to spread queries over (default: every general-domain mechanism)")
 		queries  = flag.Int("queries", 4000, "total queries to issue")
 		parallel = flag.Int("parallel", 8, "concurrent client workers")
-		parEval  = flag.Int("parallel-eval", 1, "evaluation width of the in-process server, as wmcsd -parallel-eval (0 = GOMAXPROCS, logged at boot); the bytes are the same at every width, so width-1 verifiers check any server")
+		parEval  = flag.Int("parallel-eval", 0, "evaluation width of the in-process server, as wmcsd -parallel-eval (0 = GOMAXPROCS, logged at boot); the bytes are the same at every width, so width-1 verifiers check any server")
 		hot      = flag.Int("hot", 32, "hot-set pool size per network (hotset/mixed workloads)")
 		zipfS    = flag.Float64("zipf", 1.2, "Zipf exponent over the hot pool (> 1)")
 		umax     = flag.Float64("umax", 50, "utilities drawn uniformly from [0, umax)")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,9 @@ type Registry struct {
 	order []string // registration order, for stable listings
 	// width is the evaluation width every *future* registration builds
 	// its evaluators with (query.WithWidth), and the compute-slot count
-	// of a server built over the registry; default 1. Set it before
-	// registering — SetParallel does not retrofit existing entries.
+	// of a server built over the registry; default GOMAXPROCS. Set it
+	// before registering — SetParallel does not retrofit existing
+	// entries.
 	width int
 }
 
@@ -86,17 +88,18 @@ func (e *NetworkEntry) prefixFor(version uint64) string {
 	return e.Name + "\x1f" + strconv.FormatUint(e.gen, 10) + "." + strconv.FormatUint(version, 10) + "\x1f"
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns an empty registry at evaluation width
+// GOMAXPROCS: cache misses evaluate on every core.
 func NewRegistry() *Registry {
-	return &Registry{nets: make(map[string]*NetworkEntry), width: 1}
+	return &Registry{nets: make(map[string]*NetworkEntry), width: runtime.GOMAXPROCS(0)}
 }
 
 // SetParallel sets the evaluation width (DESIGN.md §14) every future
 // registration builds its versioned evaluators with, and that NewServer
 // reads for its compute slots and its parallel_eval exposition; the
-// default is 1. The bytes served are the same at every width. It panics
-// for widths below 1: resolving "0 means GOMAXPROCS" is the flag
-// layer's job. The width carries across PATCH swaps automatically
+// default is GOMAXPROCS. The bytes served are the same at every width.
+// It panics for widths below 1: resolving "0 means GOMAXPROCS" is the
+// flag layer's job. The width carries across PATCH swaps automatically
 // (VersionedEvaluator re-applies its construction options on every
 // rebuild). Call before registering networks and before NewServer —
 // entries already hosted keep the width they were built with.

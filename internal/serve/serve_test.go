@@ -556,9 +556,20 @@ func TestOverflowUtilityIs400(t *testing.T) {
 // (a nil evaluator dereferences inside compute) and checks the caller
 // gets errInternal and the server keeps serving: the panicking
 // evaluation released its compute slot, so at width 1 a later miss
-// still evaluates.
+// still evaluates. The width is pinned: at the GOMAXPROCS default a
+// second slot would let the later miss through even if the panic leaked
+// the first.
 func TestBatcherSurvivesEvaluationPanic(t *testing.T) {
-	s := newTestServer(t, Options{})
+	reg := NewRegistry()
+	reg.SetParallel(1)
+	if err := reg.RegisterSpec(instances.Spec{Name: "uni", Scenario: "uniform", N: 10, Alpha: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(reg, Options{})
+	t.Cleanup(s.Close)
+	if cap(s.slots) != 1 {
+		t.Fatalf("compute slots %d, want 1", cap(s.slots))
+	}
 	bad := &NetworkEntry{Name: "bad"} // nil Ev: EvaluateOne panics
 	c, err := Canonicalize(EvalRequest{Network: "bad", Mech: "universal-mc", Profile: profileFor(10, 0, 9)}, 10, 0)
 	if err != nil {

@@ -213,8 +213,8 @@ type statszPayload struct {
 	InFlight       int64  `json:"in_flight"`
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
-	// ParallelEval is the evaluation width (Registry.SetParallel, 1 by
-	// default): the compute-slot count.
+	// ParallelEval is the evaluation width (Registry.SetParallel,
+	// GOMAXPROCS by default): the compute-slot count.
 	ParallelEval int `json:"parallel_eval"`
 	// Updates counts applied network deltas, UpdateOps the mutation ops
 	// they carried; RebuildUS summarizes the evaluator rebuild+warm
