@@ -259,7 +259,8 @@ type Server = serve.Server
 // the zero value selects the defaults.
 type ServeOptions = serve.Options
 
-// NewRegistry returns an empty serving registry.
+// NewRegistry returns an empty serving registry at evaluation width
+// GOMAXPROCS.
 func NewRegistry() *Registry { return serve.NewRegistry() }
 
 // NewServer builds the query service over a registry. Serve it with any
