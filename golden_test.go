@@ -3,22 +3,25 @@ package wmcs
 // The golden-bytes check. Every other byte check compares two paths
 // inside one commit (memo on/off, width 1/N, warm/cold, server/cold
 // evaluator), so a change that moves the exact path the same way
-// everywhere passes all of them. Two committed artifacts pin the bytes
-// themselves, and a change that moves them shows the diff in review:
+// everywhere passes all of them. Three committed artifacts pin the
+// bytes and the counts themselves, and a change that moves them shows
+// the diff in review:
 //
 //   - testdata/golden/benchtab_quick.txt, the rendered `benchtab -quick`
 //     suite (CI cmps a fresh render against it);
 //   - testdata/golden/served_corpus.txt, the served-bytes corpus that
-//     TestServedCorpus renders and compares.
+//     TestServedCorpus renders and compares;
+//   - testdata/golden/count_ledger.txt, the allocation counts that
+//     TestCountLedger renders and compares (ledger_test.go).
 //
-// One command regenerates both:
+// One command regenerates all three:
 //
-//	go run ./cmd/benchtab -quick > testdata/golden/benchtab_quick.txt && go test -run '^TestServedCorpus$' -update .
+//	go run ./cmd/benchtab -quick > testdata/golden/benchtab_quick.txt && go test -run '^(TestServedCorpus|TestCountLedger)$' -update .
 //
 // Go may fuse a*b+c into one rounding on targets with FMA (arm64, or
 // amd64 built with GOAMD64=v3 and up), which moves last bits. The corpus
-// is pinned to CI's target, amd64 at the default GOAMD64=v1
-// (golden_target_test.go); every other build skips it.
+// and the ledger are pinned to CI's target, amd64 at the default
+// GOAMD64=v1 (golden_target_test.go); every other build skips them.
 
 import (
 	"bytes"
@@ -35,9 +38,10 @@ import (
 	"wmcs/internal/mechreg"
 	"wmcs/internal/query"
 	"wmcs/internal/serve"
+	"wmcs/internal/wireless"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite "+servedCorpusPath+" from this build")
+var updateGolden = flag.Bool("update", false, "rewrite "+servedCorpusPath+" and "+countLedgerPath+" from this build")
 
 const servedCorpusPath = "testdata/golden/served_corpus.txt"
 
@@ -68,40 +72,58 @@ func corpusSpecs() []instances.Spec {
 // it.
 var corpusApprox = serve.ApproxWire{Samples: 256, Delta: 0.05, Seed: 1}
 
-// renderServedCorpus renders one line per query: the network, its
-// version, the canonical key and the response bytes, computed as the
-// server computes a cache miss (serve.Canonicalize, then
-// query.Evaluator, then serve.EncodeOutcomeCert). Per network, every
-// supported registry mechanism answers three (R, u) drawn from the
-// uniform workload, and a mechanism with a sampled tier answers the
-// first of them once more under corpusApprox. The requests run at
-// version 0 and again after one PATCH: the first delta of the network's
-// churn model, applied through VersionedEvaluator.Update.
-func renderServedCorpus() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString("# network version key response — regenerate: go test -run '^TestServedCorpus$' -update .\n")
+// corpusRequests draws the corpus requests of one network: for each
+// mechanism the network supports, in registry order, one cell of three
+// (R, u) from the uniform workload. TestServedCorpus serves them and
+// TestCountLedger counts them.
+func corpusRequests(sp instances.Spec, nw *wireless.Network) ([][]serve.EvalRequest, error) {
 	uniform, err := instances.WorkloadByName("uniform")
 	if err != nil {
 		return nil, err
 	}
+	var cells [][]serve.EvalRequest
+	for mi, name := range mechreg.SupportedNames(nw) {
+		smp := uniform.New(engine.RNG(sp.Seed, mi), nw, instances.WorkloadOptions{})
+		cell := make([]serve.EvalRequest, 3)
+		for k := range cell {
+			q := smp.Next()
+			cell[k] = serve.EvalRequest{Network: sp.Name, Mech: name, R: q.R, Profile: q.U}
+		}
+		cells = append(cells, cell)
+	}
+	return cells, nil
+}
+
+// renderServedCorpus renders one line per query: the network, its
+// version, the canonical key and the response bytes, computed as the
+// server computes a cache miss (serve.Canonicalize, then
+// query.Evaluator, then serve.EncodeOutcomeCert). Per network, every
+// supported registry mechanism answers its corpusRequests cell, and a
+// mechanism with a sampled tier answers the first of them once more
+// under corpusApprox. The requests run at version 0 and again after one
+// PATCH: the first delta of the network's churn model, applied through
+// VersionedEvaluator.Update.
+func renderServedCorpus() ([]byte, error) {
+	var buf bytes.Buffer
+	buf.WriteString("# network version key response — regenerate: go test -run '^TestServedCorpus$' -update .\n")
 	for _, sp := range corpusSpecs() {
 		nw, err := sp.Build()
 		if err != nil {
 			return nil, err
 		}
+		cells, err := corpusRequests(sp, nw)
+		if err != nil {
+			return nil, err
+		}
 		var reqs []serve.EvalRequest
-		for mi, name := range mechreg.SupportedNames(nw) {
-			smp := uniform.New(engine.RNG(sp.Seed, mi), nw, instances.WorkloadOptions{})
-			for k := 0; k < 3; k++ {
-				q := smp.Next()
-				reqs = append(reqs, serve.EvalRequest{Network: sp.Name, Mech: name, R: q.R, Profile: q.U})
-			}
-			d, err := mechreg.ByName(name)
+		for _, cell := range cells {
+			reqs = append(reqs, cell...)
+			d, err := mechreg.ByName(cell[0].Mech)
 			if err != nil {
 				return nil, err
 			}
 			if d.Approx {
-				req := reqs[len(reqs)-3]
+				req := cell[0]
 				req.Approx = &corpusApprox
 				reqs = append(reqs, req)
 			}
@@ -150,24 +172,43 @@ func TestServedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, servedCorpusPath, got)
+}
+
+// checkGolden requires got to equal the committed file at path byte for
+// byte, naming the first differing lines; -update rewrites the file
+// instead.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(servedCorpusPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(servedCorpusPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got, want) {
 		return
 	}
+	const shown = 40
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	diffs := 0
 	for i := 0; i < min(len(gl), len(wl)); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("served bytes differ from %s at line %d:\ngot  %s\nwant %s", servedCorpusPath, i+1, gl[i], wl[i])
+		if gl[i] == wl[i] {
+			continue
+		}
+		if diffs++; diffs <= shown {
+			t.Errorf("%s line %d:\ngot  %s\nwant %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("served corpus has %d lines, %s has %d", len(gl), servedCorpusPath, len(wl))
+	if diffs > shown {
+		t.Errorf("%s: %d more lines differ", path, diffs-shown)
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("rendered %d lines, %s has %d", len(gl), path, len(wl))
+	}
+	t.FailNow()
 }
