@@ -18,10 +18,11 @@ import (
 // path — memtred.Rebuild reuses every clean station's runs, so the
 // per-update cost scales with the two dirty rows instead of the full
 // n³ reduction build — and every probe must answer bitwise-identically
-// to a cold evaluator over the same snapshot. The latency signal lives
-// in benchtab -timings wall_ms, where the benchcmp gate asserts
-// E15 <= 0.2·E15b (the incremental path at least 5× faster than the
-// full-rebuild baseline below).
+// to a cold evaluator over the same snapshot. The cost signal lives in
+// the count ledger (testdata/golden/count_ledger.txt), whose test
+// asserts that memtred.Rebuild at n = 48 allocates at most a fifth of
+// what memtred.New allocates — the incremental path against the
+// full-rebuild baseline below, counted exactly.
 func E15UpdateLatency(cfg Config) *stats.Table {
 	return e15Run(cfg, false,
 		"E15 — delta-aware update latency (single-row SetCost stream)")
@@ -30,8 +31,8 @@ func E15UpdateLatency(cfg Config) *stats.Table {
 // E15bUpdateLatencyFull is the control: the identical update stream
 // through a WithoutDeltaRebuild evaluator, which rebuilds the reduction
 // from scratch on every update. Its table must agree with E15's on
-// everything except the incremental count (0 here) — the wall-clock gap
-// between the two is the tentpole's measured win.
+// everything except the incremental count (0 here); the count ledger's
+// memtred.New and memtred.Rebuild lines measure the gap between the two.
 func E15bUpdateLatencyFull(cfg Config) *stats.Table {
 	return e15Run(cfg, true,
 		"E15b — full-rebuild update baseline (WithoutDeltaRebuild)")
@@ -106,6 +107,6 @@ func e15Run(cfg Config, fullRebuild bool, title string) *stats.Table {
 		fmt.Sprint(probes), fmt.Sprint(mismatches))
 	t.Note("one versioned evaluator, warm reduction + universal-shapley; each update is a single-row SetCost (random pair, x0.8..1.2)")
 	t.Note("incremental counts updates that seeded the reduction via memtred.Rebuild; mismatches must be 0 (warm vs cold bitwise)")
-	t.Note("latency is the point: benchtab -timings wall_ms, gated in CI as E15 <= 0.2 * E15b")
+	t.Note("cost is the point: count_ledger.txt's memtred.Rebuild/New lines, gated as Rebuild <= 0.2 * New at n = 48")
 	return t
 }
