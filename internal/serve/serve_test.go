@@ -406,6 +406,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, err := NewRegistry().LoadManifest(strings.NewReader(`[{"name": "x", "scenari": "uniform"}]`)); err == nil {
 		t.Fatal("typo'd manifest accepted")
 	}
+	// A second array after the first fails the manifest instead of
+	// booting with the first half of it.
+	two := `[{"name": "c1", "scenario": "uniform", "n": 8, "seed": 1}] [{"name": "c2", "scenario": "uniform", "n": 8, "seed": 2}]`
+	if n, err := NewRegistry().LoadManifest(strings.NewReader(two)); err == nil {
+		t.Fatalf("concatenated manifest accepted with n=%d", n)
+	}
 }
 
 // TestServerShutdownFailsCleanly: after Close, a cache miss answers 503
@@ -615,6 +621,42 @@ func TestEvictMidFlightLeavesNoDeadCacheEntry(t *testing.T) {
 	}
 	if st := s.cache.Stats(); st.Len != 0 {
 		t.Fatalf("cache holds %d entries after evict, want 0", st.Len)
+	}
+}
+
+// TestTrailingDataIs400: a body holds one JSON value. Anything after it
+// but whitespace answers 400 on every route that decodes a body, and the
+// value before it takes no effect: no network registers and no version
+// moves.
+func TestTrailingDataIs400(t *testing.T) {
+	s := newTestServer(t, Options{})
+	eval, err := json.Marshal(EvalRequest{Network: "uni", Mech: "universal-mc", Profile: profileFor(10, 0, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(name string) string {
+		return `{"name": "` + name + `", "scenario": "uniform", "n": 8, "alpha": 2, "seed": 1}`
+	}
+	entry, _ := s.reg.Get("uni")
+	version := entry.Ev.Version()
+	for _, rt := range []struct{ method, path, body string }{
+		{"POST", "/v1/evaluate", string(eval) + " garbage"},
+		{"POST", "/v1/evaluate", string(eval) + string(eval)},
+		{"POST", "/v1/batch", "[" + string(eval) + "] ]"},
+		{"POST", "/v1/networks", spec("x1") + " " + spec("x2")},
+		{"PATCH", "/v1/networks/uni", `{"move": [{"station": 4, "point": [0.93, 0.81]}]} garbage`},
+	} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(rt.method, rt.path, strings.NewReader(rt.body)))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s %s with trailing data: %d %s, want 400", rt.method, rt.path, w.Code, w.Body.String())
+		}
+	}
+	if n := s.reg.Len(); n != 2 {
+		t.Errorf("registry holds %d networks after rejected bodies, want 2", n)
+	}
+	if v := entry.Ev.Version(); v != version {
+		t.Errorf("uni moved from version %d to %d on a rejected PATCH", version, v)
 	}
 }
 
