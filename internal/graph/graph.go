@@ -147,59 +147,6 @@ func (g *Graph) Rewind(s Snapshot) {
 	g.m = s.m
 }
 
-// Digraph is a weighted directed multigraph with dense vertex ids.
-type Digraph struct {
-	out [][]Edge
-	in  [][]Edge
-	m   int
-}
-
-// NewDigraph returns an empty digraph on n vertices.
-func NewDigraph(n int) *Digraph {
-	return &Digraph{out: make([][]Edge, n), in: make([][]Edge, n)}
-}
-
-// N returns the number of vertices.
-func (g *Digraph) N() int { return len(g.out) }
-
-// M returns the number of arcs.
-func (g *Digraph) M() int { return g.m }
-
-// AddArc inserts the arc u→v with weight w.
-func (g *Digraph) AddArc(u, v int, w float64) {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at %d", u))
-	}
-	e := Edge{From: u, To: v, W: w}
-	g.out[u] = append(g.out[u], e)
-	g.in[v] = append(g.in[v], e)
-	g.m++
-}
-
-// Out returns the outgoing arcs of u (owned by the digraph).
-func (g *Digraph) Out(u int) []Edge { return g.out[u] }
-
-// In returns the incoming arcs of u (owned by the digraph).
-func (g *Digraph) In(u int) []Edge { return g.in[u] }
-
-// Arcs returns all arcs sorted by (From, To, W) for determinism.
-func (g *Digraph) Arcs() []Edge {
-	es := make([]Edge, 0, g.m)
-	for _, l := range g.out {
-		es = append(es, l...)
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		if es[i].To != es[j].To {
-			return es[i].To < es[j].To
-		}
-		return es[i].W < es[j].W
-	})
-	return es
-}
-
 // Matrix is a dense symmetric cost matrix over n vertices, the natural
 // representation of the paper's complete "cost graph" (S, c). The zero
 // diagonal is maintained by construction.

@@ -53,23 +53,6 @@ func TestGraphClone(t *testing.T) {
 	}
 }
 
-func TestDigraphBasics(t *testing.T) {
-	g := NewDigraph(3)
-	g.AddArc(0, 1, 1)
-	g.AddArc(1, 2, 2)
-	g.AddArc(0, 2, 3)
-	if g.N() != 3 || g.M() != 3 {
-		t.Fatalf("N=%d M=%d", g.N(), g.M())
-	}
-	if len(g.Out(0)) != 2 || len(g.In(2)) != 2 || len(g.In(0)) != 0 {
-		t.Errorf("adjacency wrong: out0=%d in2=%d in0=%d", len(g.Out(0)), len(g.In(2)), len(g.In(0)))
-	}
-	arcs := g.Arcs()
-	if len(arcs) != 3 || arcs[0].From != 0 || arcs[0].To != 1 {
-		t.Errorf("Arcs = %v", arcs)
-	}
-}
-
 func TestMatrix(t *testing.T) {
 	m := NewMatrix(3)
 	m.Set(0, 1, 5)

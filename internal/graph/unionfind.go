@@ -25,26 +25,6 @@ func NewUnionFind(n int) *UnionFind {
 	return uf
 }
 
-// Reset restores n singleton sets without reallocating, so one UnionFind
-// can serve many Kruskal/moat runs. With n larger than the current
-// capacity the backing arrays grow once and are then stable.
-func (uf *UnionFind) Reset(n int) {
-	if cap(uf.parent) < n {
-		uf.parent = make([]int, n)
-		uf.rank = make([]int, n)
-		uf.size = make([]int, n)
-	}
-	uf.parent = uf.parent[:n]
-	uf.rank = uf.rank[:n]
-	uf.size = uf.size[:n]
-	for i := 0; i < n; i++ {
-		uf.parent[i] = i
-		uf.rank[i] = 0
-		uf.size[i] = 1
-	}
-	uf.sets = n
-}
-
 // Find returns the canonical representative of x's set.
 func (uf *UnionFind) Find(x int) int {
 	for uf.parent[x] != x {

@@ -9,43 +9,14 @@ import (
 	"wmcs/internal/graph"
 )
 
-// Workspace owns the buffers of the spanning-tree algorithms (heap,
-// in-tree mask, best-edge table, union-find) so repeated runs on graphs
-// of (at most) the same size allocate nothing. Not safe for concurrent
-// use. The edge slices returned by its methods are owned by the
-// workspace and valid until its next call.
-type Workspace struct {
-	heap     *graph.IndexHeap
-	uf       *graph.UnionFind
-	inTree   []bool
-	bestEdge []graph.Edge
-	edges    []graph.Edge
-}
-
-// NewWorkspace returns an empty workspace; buffers grow on first use.
-func NewWorkspace() *Workspace {
-	return &Workspace{heap: graph.NewIndexHeap(0), uf: graph.NewUnionFind(0)}
-}
-
-func (ws *Workspace) begin(n int) {
-	ws.heap.Grow(n)
-	ws.heap.Reset()
-	if cap(ws.inTree) < n {
-		ws.inTree = make([]bool, n)
-		ws.bestEdge = make([]graph.Edge, n)
-	}
-	ws.inTree = ws.inTree[:n]
-	ws.bestEdge = ws.bestEdge[:n]
-	for i := 0; i < n; i++ {
-		ws.inTree[i] = false
-	}
-	ws.edges = ws.edges[:0]
-}
-
-// Prim returns MST edges of start's component, reusing the workspace.
-func (ws *Workspace) Prim(g *graph.Graph, start int) []graph.Edge {
-	ws.begin(g.N())
-	h, inTree, bestEdge := ws.heap, ws.inTree, ws.bestEdge
+// Prim returns the edges of a minimum spanning tree of the connected
+// component of start, using the indexed heap. On a disconnected graph only
+// the component of start is spanned.
+func Prim(g *graph.Graph, start int) []graph.Edge {
+	n := g.N()
+	h := graph.NewIndexHeap(n)
+	inTree, bestEdge := make([]bool, n), make([]graph.Edge, n)
+	var edges []graph.Edge
 	h.Push(start, 0)
 	for h.Len() > 0 {
 		u, _ := h.Pop()
@@ -54,7 +25,7 @@ func (ws *Workspace) Prim(g *graph.Graph, start int) []graph.Edge {
 		}
 		inTree[u] = true
 		if u != start {
-			ws.edges = append(ws.edges, bestEdge[u])
+			edges = append(edges, bestEdge[u])
 		}
 		for _, e := range g.Neighbors(u) {
 			if inTree[e.To] {
@@ -66,35 +37,7 @@ func (ws *Workspace) Prim(g *graph.Graph, start int) []graph.Edge {
 			}
 		}
 	}
-	return ws.edges
-}
-
-// Kruskal returns the edges of a minimum spanning forest of g, reusing
-// the workspace union-find (the edge scan itself still sorts a fresh
-// slice inside g.Edges()).
-func (ws *Workspace) Kruskal(g *graph.Graph) []graph.Edge {
-	ws.uf.Reset(g.N())
-	ws.edges = ws.edges[:0]
-	for _, e := range g.Edges() { // Edges() is weight-sorted
-		if ws.uf.Union(e.From, e.To) {
-			ws.edges = append(ws.edges, e)
-		}
-	}
-	return ws.edges
-}
-
-// Prim returns the edges of a minimum spanning tree of the connected
-// component of start, using the indexed heap. On a disconnected graph only
-// the component of start is spanned. The one-shot entry point; repeated
-// runs should hold a Workspace.
-func Prim(g *graph.Graph, start int) []graph.Edge {
-	n := g.N()
-	ws := &Workspace{
-		heap:     graph.NewIndexHeap(n),
-		inTree:   make([]bool, n),
-		bestEdge: make([]graph.Edge, n),
-	}
-	return ws.Prim(g, start)
+	return edges
 }
 
 // PrimMatrix returns MST edges of the complete graph given by the

@@ -51,27 +51,20 @@ const eps = 1e-9
 
 // New builds the mechanism for an NWST instance. Paying terminals are the
 // agents; free terminals (the wireless source) are always connected and
-// never charged. The mechanism owns a private state pool; use NewShared
-// to amortize contraction states across many mechanisms over the same
-// host graph.
+// never charged. The mechanism owns a private state pool and no memo.
 func New(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
-	return NewShared(inst, oracle, nil)
+	return NewMemoized(inst, oracle, nil, nil)
 }
 
-// NewShared is New with an external state pool, which must be over the
-// same host graph and weights as inst. Queries drawing states from a
-// shared pool produce byte-identical results to private-pool queries:
-// nwst.State.Reset restores a pooled state to as-constructed behavior.
-// A nil pool allocates a private one.
-func NewShared(inst nwst.Instance, oracle nwst.Oracle, pool *nwst.StatePool) *Mechanism {
-	return NewMemoized(inst, oracle, pool, nil)
-}
-
-// NewMemoized is NewShared with a trajectory memo: runs record the
-// spider sequence per terminal set and replay it on re-runs instead of
-// re-invoking the oracle. The memo must be used only with this host
-// instance and oracle (the wireless mechanism owns one per reduction);
-// nil disables memoization.
+// NewMemoized is New with an external state pool and a trajectory memo.
+// The pool must be over the same host graph and weights as inst; queries
+// drawing states from a shared pool produce byte-identical results to
+// private-pool queries, because nwst.State.Reset restores a pooled state
+// to as-constructed behavior. A nil pool allocates a private one. The
+// memo records the spider sequence per terminal set and replays it on
+// re-runs instead of re-invoking the oracle; it must be used only with
+// this host instance and oracle (the wireless mechanism owns one per
+// reduction), and nil disables memoization.
 func NewMemoized(inst nwst.Instance, oracle nwst.Oracle, pool *nwst.StatePool, memo *nwst.TrajectoryMemo) *Mechanism {
 	inst.Validate()
 	if oracle == nil {

@@ -41,64 +41,23 @@ func (t *Tree) PathTo(v int) []int {
 // Reachable reports whether v is reachable from the root.
 func (t *Tree) Reachable(v int) bool { return t.Dist[v] < Inf }
 
-// Workspace owns the per-call buffers of the shortest-path algorithms —
-// the indexed heap, the visited mask and a Tree — so repeated queries on
-// networks of (at most) the same size allocate nothing. A Workspace is
-// not safe for concurrent use; give each goroutine its own.
-//
-// The *Tree returned by a Workspace method is owned by the workspace and
-// valid only until its next call; callers that need to keep it must copy.
-type Workspace struct {
-	heap *graph.IndexHeap
-	done []bool
-	tree Tree
-}
-
-// NewWorkspace returns an empty workspace; buffers grow on first use.
-func NewWorkspace() *Workspace {
-	return &Workspace{heap: graph.NewIndexHeap(0)}
-}
-
-// newWorkspaceN returns a workspace pre-sized for n vertices, so the
-// one-shot entry points pay exactly one allocation per buffer (the same
-// count as a hand-rolled run) instead of a grow cycle.
-func newWorkspaceN(n int) *Workspace {
-	return &Workspace{
-		heap: graph.NewIndexHeap(n),
-		done: make([]bool, n),
-		tree: Tree{Dist: make([]float64, n), Parent: make([]int, n)},
+// newTree returns the tree of a run from src over n vertices, with
+// every vertex still unreached.
+func newTree(n, src int) *Tree {
+	t := &Tree{Root: src, Dist: make([]float64, n), Parent: make([]int, n)}
+	for i := range t.Dist {
+		t.Dist[i] = Inf
+		t.Parent[i] = -1
 	}
-}
-
-// begin resizes and clears the buffers for an n-vertex run from src, and
-// returns the workspace tree ready for relaxation.
-func (ws *Workspace) begin(n, src int) *Tree {
-	ws.heap.Grow(n)
-	ws.heap.Reset()
-	if cap(ws.done) < n {
-		ws.done = make([]bool, n)
-	}
-	ws.done = ws.done[:n]
-	if cap(ws.tree.Dist) < n {
-		ws.tree.Dist = make([]float64, n)
-		ws.tree.Parent = make([]int, n)
-	}
-	ws.tree.Dist = ws.tree.Dist[:n]
-	ws.tree.Parent = ws.tree.Parent[:n]
-	for i := 0; i < n; i++ {
-		ws.done[i] = false
-		ws.tree.Dist[i] = Inf
-		ws.tree.Parent[i] = -1
-	}
-	ws.tree.Root = src
-	return &ws.tree
+	return t
 }
 
 // Dijkstra computes a shortest-path tree from src on an undirected graph
-// with nonnegative weights, reusing the workspace buffers.
-func (ws *Workspace) Dijkstra(g *graph.Graph, src int) *Tree {
-	t := ws.begin(g.N(), src)
-	h, done := ws.heap, ws.done
+// with nonnegative weights.
+func Dijkstra(g *graph.Graph, src int) *Tree {
+	n := g.N()
+	t := newTree(n, src)
+	h, done := graph.NewIndexHeap(n), make([]bool, n)
 	h.Push(src, 0)
 	for h.Len() > 0 {
 		u, du := h.Pop()
@@ -122,41 +81,13 @@ func (ws *Workspace) Dijkstra(g *graph.Graph, src int) *Tree {
 	return t
 }
 
-// DijkstraDigraph computes a shortest-path tree from src on a digraph with
-// nonnegative arc weights, reusing the workspace buffers.
-func (ws *Workspace) DijkstraDigraph(g *graph.Digraph, src int) *Tree {
-	t := ws.begin(g.N(), src)
-	h, done := ws.heap, ws.done
-	h.Push(src, 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		t.Dist[u] = du
-		for _, e := range g.Out(u) {
-			if done[e.To] {
-				continue
-			}
-			nd := du + e.W
-			if nd < t.Dist[e.To] {
-				t.Dist[e.To] = nd
-				t.Parent[e.To] = u
-				h.PushOrDecrease(e.To, nd)
-			}
-		}
-	}
-	return t
-}
-
 // DijkstraMatrix computes a shortest-path tree from src over the complete
-// graph described by the symmetric cost matrix m, in O(n²) without a
-// heap, reusing the workspace buffers.
-func (ws *Workspace) DijkstraMatrix(m *graph.Matrix, src int) *Tree {
+// graph described by the symmetric cost matrix m, in O(n²) without a heap.
+// This is the right tool for the paper's complete cost graphs.
+func DijkstraMatrix(m *graph.Matrix, src int) *Tree {
 	n := m.N()
-	t := ws.begin(n, src)
-	done := ws.done
+	t := newTree(n, src)
+	done := make([]bool, n)
 	t.Dist[src] = 0
 	for iter := 0; iter < n; iter++ {
 		u, best := -1, Inf
@@ -181,26 +112,6 @@ func (ws *Workspace) DijkstraMatrix(m *graph.Matrix, src int) *Tree {
 		}
 	}
 	return t
-}
-
-// Dijkstra computes a shortest-path tree from src on an undirected graph
-// with nonnegative weights. The one-shot entry point; repeated queries
-// should hold a Workspace instead.
-func Dijkstra(g *graph.Graph, src int) *Tree {
-	return newWorkspaceN(g.N()).Dijkstra(g, src)
-}
-
-// DijkstraDigraph computes a shortest-path tree from src on a digraph with
-// nonnegative arc weights.
-func DijkstraDigraph(g *graph.Digraph, src int) *Tree {
-	return newWorkspaceN(g.N()).DijkstraDigraph(g, src)
-}
-
-// DijkstraMatrix computes a shortest-path tree from src over the complete
-// graph described by the symmetric cost matrix m, in O(n²) without a heap.
-// This is the right tool for the paper's complete cost graphs.
-func DijkstraMatrix(m *graph.Matrix, src int) *Tree {
-	return newWorkspaceN(m.N()).DijkstraMatrix(m, src)
 }
 
 // BFS returns reachability, parents and visit order from src in an

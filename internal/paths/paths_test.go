@@ -47,22 +47,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-func TestDijkstraDigraph(t *testing.T) {
-	g := graph.NewDigraph(4)
-	g.AddArc(0, 1, 1)
-	g.AddArc(1, 2, 1)
-	g.AddArc(2, 3, 1)
-	g.AddArc(3, 0, 1) // cycle back, irrelevant
-	tr := DijkstraDigraph(g, 0)
-	if tr.Dist[3] != 3 {
-		t.Errorf("Dist[3] = %g", tr.Dist[3])
-	}
-	rev := DijkstraDigraph(g, 1)
-	if rev.Dist[0] != 3 { // must go 1→2→3→0
-		t.Errorf("directed distance wrong: %g", rev.Dist[0])
-	}
-}
-
 // Property: Dijkstra on a random graph agrees with Floyd–Warshall.
 func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
