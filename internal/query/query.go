@@ -85,10 +85,9 @@ type Evaluator struct {
 	// per evaluator and VersionedEvaluator consults the current one.
 	noDelta bool
 
-	mu        sync.Mutex
-	ctx       *mechreg.BuildContext
-	mechs     map[string]mech.Mechanism
-	supported []string
+	mu    sync.Mutex
+	ctx   *mechreg.BuildContext
+	mechs map[string]mech.Mechanism
 }
 
 // Option tunes an Evaluator at construction.
@@ -167,29 +166,10 @@ func (e *Evaluator) seedReduction(rd *memtred.Reduction) {
 	e.ctx.SeedReduction(rd)
 }
 
-// setSupported pre-fills the supported-name cache; used by the
-// versioned update path, which knows the set is version-invariant (the
-// mutation ops preserve the network class).
-func (e *Evaluator) setSupported(names []string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.supported = names
-}
-
 // Supported lists, in registry order, the mechanism names whose declared
 // domain admits this evaluator's network — exactly the names Evaluate
-// will not reject with ErrUnsupportedDomain. The serving layer
-// advertises this set per hosted network.
-func (e *Evaluator) Supported() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.supported == nil {
-		e.supported = mechreg.SupportedNames(e.net)
-	}
-	// Callers get a copy: appending to a shared cached slice would race
-	// across goroutines (and corrupt the cache).
-	return append([]string(nil), e.supported...)
-}
+// will not reject with ErrUnsupportedDomain.
+func (e *Evaluator) Supported() []string { return mechreg.SupportedNames(e.net) }
 
 // Mechanism returns the cached mechanism for a registry name, building
 // and validating it on first use (a registry lookup plus the

@@ -159,9 +159,6 @@ func (v *VersionedEvaluator) Update(mutate func(*wireless.Network) error) (Updat
 		return res, nil
 	}
 	next := NewEvaluator(work, v.opts...)
-	// The mutation ops preserve the network class, so the supported set
-	// is version-invariant — carry it instead of recomputing.
-	next.setSupported(cur.Ev.Supported())
 	if prev := cur.Ev.builtReduction(); prev != nil {
 		if !cur.Ev.noDelta && !res.Delta.AllRowsDirty() && !res.Delta.NodeSetChanged {
 			if rd := memtred.Rebuild(prev, work, res.Delta.DirtyRows); rd != nil {
