@@ -133,22 +133,20 @@ func (c *Cache) Put(key string, val []byte) {
 	}
 }
 
-// KeysWithPrefix returns up to limit keys starting with prefix,
-// walking each shard's recency list front-to-back so the hottest
-// entries surface first — the bounded scan behind the update handler's
-// carry-forward pass. Recency is not refreshed (this is bookkeeping,
-// not a client access).
-func (c *Cache) KeysWithPrefix(prefix string, limit int) []string {
-	if limit <= 0 {
-		return nil
-	}
-	var out []string
+// entriesWithPrefix returns up to limit entries whose keys start with
+// prefix, walking each shard's recency list front-to-back so the
+// hottest entries surface first — the bounded scan behind the update
+// handler's carry-forward pass. It reads under the shard locks and
+// touches neither the hit/miss counters nor recency: this is
+// bookkeeping, not a client access.
+func (c *Cache) entriesWithPrefix(prefix string, limit int) []cacheEntry {
+	var out []cacheEntry
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for el := s.ll.Front(); el != nil && len(out) < limit; el = el.Next() {
 			if e := el.Value.(*cacheEntry); strings.HasPrefix(e.key, prefix) {
-				out = append(out, e.key)
+				out = append(out, *e)
 			}
 		}
 		s.mu.Unlock()

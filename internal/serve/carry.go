@@ -44,17 +44,13 @@ func (s *Server) carryForward(entry *NetworkEntry, res query.UpdateResult) int {
 	oldPrefix := entry.prefixFor(res.OldVersion)
 	newPrefix := entry.prefixFor(res.NewVersion)
 	carried := 0
-	for _, key := range s.cache.KeysWithPrefix(oldPrefix, carryLimit) {
-		canon := key[len(oldPrefix):]
+	for _, e := range s.cache.entriesWithPrefix(oldPrefix, carryLimit) {
+		canon := e.key[len(oldPrefix):]
 		if !res.Unchanged && !carrySafe(canon, res) {
 			continue
 		}
-		body, ok := s.cache.Get(key)
-		if !ok {
-			continue // evicted between the scan and now
-		}
 		newKey := newPrefix + canon
-		s.cache.Put(newKey, body)
+		s.cache.Put(newKey, e.val)
 		// Same stranded-entry discipline as Server.compute: if
 		// the entry was evicted — or updated *again* — while we carried,
 		// our Put may have landed after that successor's purge of our

@@ -66,8 +66,9 @@ func TestPatchNoOpRetiresNothing(t *testing.T) {
 // TestPatchUnchangedCarriesEverything: a disable+enable round trip in
 // one PATCH cancels out bitwise, so the outgoing evaluator is
 // republished and *every* cached entry — the sampled tier included —
-// is carried to the new version verbatim: the first post-update
-// request is a hit with byte-identical bodies.
+// is carried to the new version verbatim, without counting as cache
+// hits: the first post-update request is a hit with byte-identical
+// bodies.
 func TestPatchUnchangedCarriesEverything(t *testing.T) {
 	sp := instances.Spec{Name: "flip", Scenario: "symmetric", N: 8, Seed: 43}
 	reg := NewRegistry()
@@ -91,6 +92,7 @@ func TestPatchUnchangedCarriesEverything(t *testing.T) {
 		}
 		warm[i] = w.Body
 	}
+	before := statszFor(t, s)
 	ur := patch(t, s, "flip", instances.Update{Disable: []int{3}, Enable: []int{3}})
 	if !ur.Incremental || ur.Ops != 2 {
 		t.Fatalf("round-trip PATCH response: %+v", ur)
@@ -98,8 +100,15 @@ func TestPatchUnchangedCarriesEverything(t *testing.T) {
 	if ur.CarriedEntries != len(reqs) {
 		t.Fatalf("carried %d entries, want %d", ur.CarriedEntries, len(reqs))
 	}
-	if st := statszFor(t, s); st.CarriedEntries != uint64(len(reqs)) || st.RebuildIncrementalUS.Count != 1 {
+	st := statszFor(t, s)
+	if st.CarriedEntries != uint64(len(reqs)) || st.RebuildIncrementalUS.Count != 1 {
 		t.Fatalf("statsz after unchanged PATCH: carried=%d inc=%d", st.CarriedEntries, st.RebuildIncrementalUS.Count)
+	}
+	// Carrying is not a client read: the cache's hit and miss counters
+	// stay where the warm-up left them.
+	if st.Cache.Hits != before.Cache.Hits || st.Cache.Misses != before.Cache.Misses {
+		t.Fatalf("carry pass moved the cache counters: hits %d -> %d, misses %d -> %d",
+			before.Cache.Hits, st.Cache.Hits, before.Cache.Misses, st.Cache.Misses)
 	}
 	for i, req := range reqs {
 		w := do(t, s, "POST", "/v1/evaluate", req)
