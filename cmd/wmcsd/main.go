@@ -42,7 +42,6 @@ func main() {
 		addr       = flag.String("addr", ":8571", "listen address")
 		manifest   = flag.String("manifest", "", "startup manifest: JSON array of scenario specs (default: a demo set)")
 		cache      = flag.Int("cache", serve.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
-		shards     = flag.Int("shards", 0, "result-cache shard count (0 = default 16)")
 		parEval    = flag.Int("parallel-eval", 0, "evaluation width: wireless-bb spider-oracle scans and concurrent evaluations (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
 		pprof      = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 		logFormat  = flag.String("log", "text", "log format: text or json")
@@ -133,7 +132,6 @@ func main() {
 	}
 	srv := serve.NewServer(reg, serve.Options{
 		CacheCapacity: cacheCap,
-		CacheShards:   *shards,
 		Logger:        logger,
 		SlowRequest:   slowThreshold,
 		SlowTraces:    ringSize,

@@ -306,7 +306,7 @@ func TestDebugzSlowRing(t *testing.T) {
 // exactly zero: every handler exit path must hit the deferred
 // TrackInFlight decrement.
 func TestInFlightDrainsOnErrorPaths(t *testing.T) {
-	s := newTestServer(t, Options{MaxBatchRequest: 4})
+	s := newTestServer(t, Options{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -323,8 +323,8 @@ func TestInFlightDrainsOnErrorPaths(t *testing.T) {
 					do(t, s, "POST", "/v1/evaluate", EvalRequest{Network: "uni", Mech: "no-such-mech", Profile: profileFor(10, 0, 1)})
 				case 3: // line-shapley's domain excludes the 2-d "uni" network
 					do(t, s, "POST", "/v1/evaluate", EvalRequest{Network: "uni", Mech: "line-shapley", Profile: profileFor(10, 0, 1)})
-				case 4: // oversized batch (limit 4)
-					reqs := make([]EvalRequest, 5)
+				case 4: // oversized batch
+					reqs := make([]EvalRequest, maxBatchRequest+1)
 					for j := range reqs {
 						reqs[j] = evalReqFor("universal-shapley", int64(j))
 					}

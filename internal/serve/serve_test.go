@@ -355,8 +355,8 @@ func TestEvictReRegisterNeverServesStaleBytes(t *testing.T) {
 }
 
 func TestBatchSizeLimit(t *testing.T) {
-	s := newTestServer(t, Options{MaxBatchRequest: 2})
-	reqs := make([]EvalRequest, 3)
+	s := newTestServer(t, Options{})
+	reqs := make([]EvalRequest, maxBatchRequest+1)
 	for i := range reqs {
 		reqs[i] = EvalRequest{Network: "uni", Mech: "jv-moat", Profile: profileFor(10, 0, int64(i))}
 	}

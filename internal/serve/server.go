@@ -27,12 +27,6 @@ type Options struct {
 	// (wmcsd's -cache flag) translate it to a negative before building
 	// Options.
 	CacheCapacity int
-	// CacheShards is the shard count (default 16, rounded up to a power
-	// of two).
-	CacheShards int
-	// MaxBatchRequest caps the element count of one /v1/batch request
-	// (default 1024).
-	MaxBatchRequest int
 	// Logger receives one structured request-summary record per non-2xx
 	// or slow request (DESIGN.md §13.4). nil disables request logging —
 	// tests and in-process embedders stay silent.
@@ -73,7 +67,6 @@ type Server struct {
 	stats  *Stats
 	flight flightGroup
 	mux    *http.ServeMux
-	opts   Options
 	tracer *obs.Tracer
 	logger *slog.Logger
 	slow   time.Duration // resolved SlowRequest; <= 0 disables
@@ -90,9 +83,6 @@ type Server struct {
 // (e.g. populated concurrently by an operator goroutine); the server
 // only reads it through its own synchronized API.
 func NewServer(reg *Registry, opts Options) *Server {
-	if opts.MaxBatchRequest <= 0 {
-		opts.MaxBatchRequest = 1024
-	}
 	if opts.CacheCapacity == 0 {
 		opts.CacheCapacity = DefaultCacheCapacity
 	}
@@ -104,9 +94,8 @@ func NewServer(reg *Registry, opts Options) *Server {
 	}
 	s := &Server{
 		reg:    reg,
-		cache:  NewCache(opts.CacheCapacity, opts.CacheShards),
+		cache:  NewCache(opts.CacheCapacity, 16),
 		stats:  NewStats(),
-		opts:   opts,
 		tracer: obs.NewTracer(opts.SlowTraces),
 		logger: opts.Logger,
 		slow:   opts.SlowRequest,
@@ -670,10 +659,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err.Error())
 		return
 	}
-	if len(reqs) > s.opts.MaxBatchRequest {
+	if len(reqs) > maxBatchRequest {
 		tr.RecordSince(obs.StageAdmission, tr.Begin)
 		tr.Status = http.StatusRequestEntityTooLarge
-		tr.Err = fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), s.opts.MaxBatchRequest)
+		tr.Err = fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), maxBatchRequest)
 		s.stats.Errors.Add(1)
 		writeErr(w, http.StatusRequestEntityTooLarge, tr.Err)
 		return
@@ -729,6 +718,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, elems)
 	tr.Record(obs.StageEncode, encStart, time.Since(encStart))
 }
+
+// maxBatchRequest caps the element count of one /v1/batch request.
+const maxBatchRequest = 1024
 
 // maxBodyBytes bounds request bodies (a 100k-station profile is ~2MB;
 // 16MB leaves headroom without inviting abuse).

@@ -254,9 +254,8 @@ type Registry = serve.Registry
 // running at once. It implements http.Handler; Close it when done.
 type Server = serve.Server
 
-// ServeOptions tune a Server (cache capacity and sharding, the
-// /v1/batch element limit, request logging and slow-trace retention);
-// the zero value selects the defaults.
+// ServeOptions tune a Server (cache capacity, request logging and
+// slow-trace retention); the zero value selects the defaults.
 type ServeOptions = serve.Options
 
 // NewRegistry returns an empty serving registry at evaluation width
