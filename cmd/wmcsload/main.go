@@ -1,7 +1,10 @@
 // Command wmcsload replays deterministic workload mixes against a wmcsd
 // daemon (-addr) or an in-process server (default) and reports
-// throughput, cache behavior and latency quantiles — the repo's
-// end-to-end serving benchmark.
+// throughput, cache behavior and latency quantiles. It is the load
+// driver and CI's byte verifier; the serving benchmark is servebench.
+// Server-side figures come from the /metricsz scrapes taken before and
+// after the run, which are strict-parsed and histogram-checked, so
+// every run also certifies the exposition.
 //
 // The query stream is reproducible: pool contents, Zipf draws and the
 // query→mechanism assignment all derive from -seed, and every response
@@ -201,17 +204,9 @@ func main() {
 		}
 	}
 
-	before, err := fetchStatsz(baseURL)
+	before, err := scrapeMetrics(baseURL)
 	if err != nil {
-		cliutil.Die("statsz before run: %v", err)
-	}
-	var mBefore *obs.PromDoc
-	if *repFile != "" {
-		// The scrape both feeds the report's stage deltas and certifies
-		// the exposition (strict parse + histogram checks).
-		if mBefore, err = scrapeMetrics(baseURL); err != nil {
-			cliutil.Die("%v", err)
-		}
+		cliutil.Die("%v", err)
 	}
 
 	cfg := loadConfig{
@@ -252,9 +247,9 @@ func main() {
 		}
 	}
 
-	after, err := fetchStatsz(baseURL)
+	after, err := scrapeMetrics(baseURL)
 	if err != nil {
-		cliutil.Die("statsz after run: %v", err)
+		cliutil.Die("%v", err)
 	}
 
 	meta := reportMeta{
@@ -264,11 +259,7 @@ func main() {
 	}
 	report(run, before, after, *jsonOut, meta)
 	if *repFile != "" {
-		mAfter, err := scrapeMetrics(baseURL)
-		if err != nil {
-			cliutil.Die("%v", err)
-		}
-		if err := writeRunReport(*repFile, buildRunReport(run, meta, before, after, mBefore, mAfter)); err != nil {
+		if err := writeRunReport(*repFile, buildRunReport(run, meta, before, after)); err != nil {
 			cliutil.Die("writing -report: %v", err)
 		}
 	}
@@ -362,34 +353,11 @@ func ensureNetworks(baseURL string, specs []instances.Spec) error {
 	return nil
 }
 
-// statszDoc mirrors the /statsz fields the report uses.
-type statszDoc struct {
-	Queries        uint64 `json:"queries"`
-	Coalesced      uint64 `json:"coalesced"`
-	BatchedQueries uint64 `json:"batched_queries"` // evaluations the server ran
-	Updates        uint64 `json:"updates"`
-	UpdateOps      uint64 `json:"update_ops"`
-	Cache          struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-	} `json:"cache"`
-}
-
 // httpClient is the driver's shared client for the control-plane calls
-// (listing, registration, statsz). The timeout turns a wedged daemon
+// (listing, registration, /metricsz scrapes). The timeout turns a wedged daemon
 // into a reported error rather than an indefinite hang (CI runs this
 // with no step-level timeout).
 var httpClient = &http.Client{Timeout: 30 * time.Second}
-
-func fetchStatsz(baseURL string) (statszDoc, error) {
-	var doc statszDoc
-	resp, err := httpClient.Get(baseURL + "/statsz")
-	if err != nil {
-		return doc, err
-	}
-	defer resp.Body.Close()
-	return doc, json.NewDecoder(resp.Body).Decode(&doc)
-}
 
 type loadConfig struct {
 	baseURL  string
@@ -611,7 +579,7 @@ type reportMeta struct {
 	churn             *churnDriver // nil outside -churn mode
 }
 
-func report(run loadResult, before, after statszDoc, jsonOut bool, meta reportMeta) {
+func report(run loadResult, before, after *obs.PromDoc, jsonOut bool, meta reportMeta) {
 	tab := stats.NewTable(
 		fmt.Sprintf("wmcsload: %s workload, %d queries, %d workers (seed %d)",
 			meta.workload, meta.queries, meta.parallel, meta.seed),
@@ -632,19 +600,18 @@ func report(run loadResult, before, after statszDoc, jsonOut bool, meta reportMe
 	qps := float64(served) / run.wall.Seconds()
 	tab.Note("mix: %d networks, hot pool %d/network, zipf s=%g", meta.nets, meta.hot, meta.zipf)
 	tab.Note("wall %.2fs   throughput %.0f q/s   errors %d", run.wall.Seconds(), qps, run.errors)
-	dHits := after.Cache.Hits - before.Cache.Hits
-	dQueries := after.Queries - before.Queries
-	dCoalesced := after.Coalesced - before.Coalesced
+	grew := func(name string) uint64 { return counterDelta(before, after, name) }
+	dHits, dQueries := grew("wmcs_cache_hits_total"), grew("wmcs_requests_total")
 	hitRate := 0.0
 	if dQueries > 0 {
 		hitRate = float64(dHits) / float64(dQueries)
 	}
 	tab.Note("server: %d queries, %d cache hits (hit rate %.1f%%), %d coalesced, %d evaluations",
-		dQueries, dHits, 100*hitRate, dCoalesced, after.BatchedQueries-before.BatchedQueries)
+		dQueries, dHits, 100*hitRate, grew("wmcs_coalesced_total"), grew("wmcs_evaluations_total"))
 	if meta.churn != nil {
 		meta.churn.report(tab)
 		tab.Note("server: %d updates applied (%d ops); generation-bumped in place, no evict/re-register",
-			after.Updates-before.Updates, after.UpdateOps-before.UpdateOps)
+			grew("wmcs_updates_total"), grew("wmcs_update_ops_total"))
 		tab.Note("verification: %d responses verified against cold per-version evaluators, %d byte mismatches",
 			run.compared, run.mismatches)
 	} else {

@@ -14,7 +14,7 @@ import (
 // This file is wmcsload's -report output: a machine-readable JSON run
 // report for trend lines and CI assertions, complementing the human
 // table on stdout. Everything in it is computed from the run the driver
-// just issued plus /statsz and /metricsz deltas around it — notably the
+// just issued plus /metricsz deltas around it — notably the
 // queue-wait share, which divides the run's growth of
 // wmcs_stage_duration_seconds_sum{stage="queue_wait"} by the growth of
 // wmcs_request_duration_seconds_sum summed over mechanisms: the
@@ -53,7 +53,7 @@ type runReportDoc struct {
 	Errors        int     `json:"errors"`
 	FirstError    string  `json:"first_error,omitempty"`
 
-	// Server-side deltas over the run (from /statsz).
+	// Server-side deltas over the run (from /metricsz).
 	ServerQueries uint64  `json:"server_queries"`
 	CacheHits     uint64  `json:"cache_hits"`
 	HitRate       float64 `json:"hit_rate"`
@@ -69,15 +69,14 @@ type runReportDoc struct {
 
 	// Per-stage /metricsz deltas and the headline queue-wait share. A
 	// negative share never happens (counters are monotone); -1 flags
-	// that /metricsz was unavailable or the denominator did not move.
-	Stages         map[string]stageReport `json:"stages,omitempty"`
+	// that the denominator did not move.
+	Stages         map[string]stageReport `json:"stages"`
 	QueueWaitShare float64                `json:"queue_wait_share"`
 }
 
 // scrapeMetrics fetches and parses /metricsz, and — since the parser is
 // strict and the checker cheap — certifies the exposition's structure
-// as a side effect: every -report run is also a live /metricsz
-// validation.
+// as a side effect: every run is also a live /metricsz validation.
 func scrapeMetrics(baseURL string) (*obs.PromDoc, error) {
 	resp, err := httpClient.Get(baseURL + "/metricsz")
 	if err != nil {
@@ -97,10 +96,16 @@ func scrapeMetrics(baseURL string) (*obs.PromDoc, error) {
 	return doc, nil
 }
 
-// buildRunReport assembles the JSON document. mBefore/mAfter may be nil
-// (daemon without /metricsz); the stage block is then omitted and the
-// queue-wait share reported as -1.
-func buildRunReport(run loadResult, meta reportMeta, before, after statszDoc, mBefore, mAfter *obs.PromDoc) runReportDoc {
+// counterDelta is an unlabeled series' growth between two scrapes.
+func counterDelta(before, after *obs.PromDoc, name string) uint64 {
+	b, _ := before.Get(name, nil)
+	a, _ := after.Get(name, nil)
+	return uint64(a - b)
+}
+
+// buildRunReport assembles the JSON document from the run and the
+// /metricsz scrapes taken before and after it.
+func buildRunReport(run loadResult, meta reportMeta, before, after *obs.PromDoc) runReportDoc {
 	doc := runReportDoc{
 		Workload:  meta.workload,
 		Queries:   meta.queries,
@@ -114,9 +119,9 @@ func buildRunReport(run loadResult, meta reportMeta, before, after statszDoc, mB
 		Errors:      run.errors,
 		FirstError:  run.firstError,
 
-		ServerQueries: after.Queries - before.Queries,
-		CacheHits:     after.Cache.Hits - before.Cache.Hits,
-		Coalesced:     after.Coalesced - before.Coalesced,
+		ServerQueries: counterDelta(before, after, "wmcs_requests_total"),
+		CacheHits:     counterDelta(before, after, "wmcs_cache_hits_total"),
+		Coalesced:     counterDelta(before, after, "wmcs_coalesced_total"),
 
 		Distinct:   run.distinct,
 		Compared:   run.compared,
@@ -153,21 +158,18 @@ func buildRunReport(run loadResult, meta reportMeta, before, after statszDoc, mB
 			MeanMS:    sum / float64(len(lat)),
 		}
 	}
-	if mBefore == nil || mAfter == nil {
-		return doc
-	}
 	doc.Stages = make(map[string]stageReport, int(obs.NumStages))
 	for _, stage := range obs.StageNames() {
 		match := map[string]string{"stage": stage}
-		cb, _ := mBefore.Get("wmcs_stage_duration_seconds_count", match)
-		ca, _ := mAfter.Get("wmcs_stage_duration_seconds_count", match)
-		sb, _ := mBefore.Get("wmcs_stage_duration_seconds_sum", match)
-		sa, _ := mAfter.Get("wmcs_stage_duration_seconds_sum", match)
+		cb, _ := before.Get("wmcs_stage_duration_seconds_count", match)
+		ca, _ := after.Get("wmcs_stage_duration_seconds_count", match)
+		sb, _ := before.Get("wmcs_stage_duration_seconds_sum", match)
+		sa, _ := after.Get("wmcs_stage_duration_seconds_sum", match)
 		doc.Stages[stage] = stageReport{Count: uint64(ca - cb), Seconds: sa - sb}
 	}
 	// Denominator: total service time across every mechanism series.
-	reqDelta := mAfter.Sum("wmcs_request_duration_seconds_sum", nil) -
-		mBefore.Sum("wmcs_request_duration_seconds_sum", nil)
+	reqDelta := after.Sum("wmcs_request_duration_seconds_sum", nil) -
+		before.Sum("wmcs_request_duration_seconds_sum", nil)
 	if reqDelta > 0 {
 		doc.QueueWaitShare = doc.Stages["queue_wait"].Seconds / reqDelta
 	}

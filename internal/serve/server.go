@@ -8,10 +8,12 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"wmcs/internal/detorder"
 	"wmcs/internal/instances"
 	"wmcs/internal/mechreg"
 	"wmcs/internal/obs"
@@ -51,8 +53,8 @@ type Options struct {
 // Endpoints:
 //
 //	GET    /healthz              liveness ("ok")
-//	GET    /statsz               counters + per-mechanism latency quantiles
-//	GET    /metricsz             Prometheus text-format exposition of the same counters
+//	GET    /statsz               one reading (readStats) as JSON: counters + latency quantiles
+//	GET    /metricsz             the same reading as Prometheus text-format exposition
 //	GET    /debugz/slow          the slowest request traces since boot
 //	GET    /v1/mechanisms        the mechanism registry: names, domains, guarantees
 //	GET    /v1/networks          hosted networks + the mechanisms each supports
@@ -194,7 +196,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// statszPayload is the /statsz document.
+// statszPayload is one reading of every figure the server exposes,
+// taken by readStats. /statsz renders its exported fields as JSON;
+// /metricsz renders all of it, including the unexported figures only
+// it shows, as Prometheus text.
 type statszPayload struct {
 	Networks       int    `json:"networks"`
 	Queries        uint64 `json:"queries"`
@@ -228,53 +233,94 @@ type statszPayload struct {
 	Cache                CacheStats                `json:"cache"`
 	LatencyUS            map[string]LatencySummary `json:"latency_us"`
 	Runtime              runtimeStats              `json:"runtime"`
+
+	slow uint64
+	nets []netRow // ascending name order
+	// mechs (observed mechanisms only, ascending name order), stages
+	// (every stage, obs.Stage order) and rebuilds (incremental, full)
+	// are the histogram snapshots the summaries above digest.
+	mechs, stages, rebuilds []histSnap
+	uptime                  time.Duration
 }
 
-// runtimeStats is the /statsz process-health block: enough to spot a
-// goroutine leak or GC pressure from a dashboard without attaching
-// pprof (wmcsd -pprof exists for the deep dive).
+// runtimeStats is the process-health block: enough to spot a goroutine
+// leak or GC pressure from a dashboard without attaching pprof (wmcsd
+// -pprof exists for the deep dive).
 type runtimeStats struct {
 	Goroutines     int    `json:"goroutines"`
 	GCPauseTotalNS uint64 `json:"gc_pause_total_ns"`
 	HeapInuse      uint64 `json:"heap_inuse"`
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	gens := make(map[string]string)
-	for _, e := range s.reg.Entries() {
-		gens[e.Name] = fmt.Sprintf("%d.%d", e.gen, e.Ev.Version())
-	}
+// netRow is one hosted network's figures: the lifecycle state serving
+// its bytes and its resident share of the result cache.
+type netRow struct {
+	name                     string
+	gen, version             uint64
+	cacheEntries, cacheBytes int
+}
+
+// readStats reads every exposed figure once: the Stats counters, the
+// cache counters, one row per hosted network, the three histogram
+// families as snapshots and the runtime stats. /statsz's latency
+// digests summarize the same snapshots /metricsz exposes.
+func (s *Server) readStats() statszPayload {
+	st := s.stats
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	// Every evaluation is a batch of one. Both batch keys stay, reading
 	// the one counter, for the clients that decode them.
-	evaluations := s.stats.Evaluations.Load()
+	evaluations := st.Evaluations.Load()
 	p := statszPayload{
-		Networks:             s.reg.Len(),
-		Queries:              s.stats.Queries.Load(),
-		Coalesced:            s.stats.Coalesced.Load(),
-		Errors:               s.stats.Errors.Load(),
-		InFlight:             s.stats.InFlight.Load(),
-		Batches:              evaluations,
-		BatchedQueries:       evaluations,
-		ParallelEval:         cap(s.slots),
-		Updates:              s.stats.Updates.Load(),
-		UpdateOps:            s.stats.UpdateOps.Load(),
-		RebuildUS:            s.stats.RebuildLatency(),
-		RebuildIncrementalUS: s.stats.RebuildIncrementalLatency(),
-		RebuildFullUS:        s.stats.RebuildFullLatency(),
-		CarriedEntries:       s.stats.CarriedEntries.Load(),
-		DeltaRebuiltMechs:    s.stats.DeltaRebuiltMechs.Load(),
-		Generations:          gens,
-		Cache:                s.cache.Stats(),
-		LatencyUS:            s.stats.Latencies(),
+		Queries:           st.Queries.Load(),
+		Coalesced:         st.Coalesced.Load(),
+		Errors:            st.Errors.Load(),
+		InFlight:          st.InFlight.Load(),
+		Batches:           evaluations,
+		BatchedQueries:    evaluations,
+		ParallelEval:      cap(s.slots),
+		Updates:           st.Updates.Load(),
+		UpdateOps:         st.UpdateOps.Load(),
+		CarriedEntries:    st.CarriedEntries.Load(),
+		DeltaRebuiltMechs: st.DeltaRebuiltMechs.Load(),
+		Generations:       make(map[string]string),
+		Cache:             s.cache.Stats(),
+		LatencyUS:         make(map[string]LatencySummary),
 		Runtime: runtimeStats{
 			Goroutines:     runtime.NumGoroutine(),
 			GCPauseTotalNS: ms.PauseTotalNs,
 			HeapInuse:      ms.HeapInuse,
 		},
+		slow:   st.SlowRequests.Load(),
+		uptime: time.Since(s.boot),
 	}
-	writeJSON(w, http.StatusOK, p)
+	entries := s.reg.Entries()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+	p.Networks = len(entries)
+	for _, e := range entries {
+		row := netRow{name: e.Name, gen: e.gen, version: e.Ev.Version()}
+		row.cacheEntries, row.cacheBytes = s.cache.PrefixStats(networkKeyPrefix(e.Name))
+		p.nets = append(p.nets, row)
+		p.Generations[e.Name] = fmt.Sprintf("%d.%d", row.gen, row.version)
+	}
+	for name, h := range detorder.Sorted(st.known) {
+		if hs := h.snapshot(name); hs.count > 0 {
+			p.mechs = append(p.mechs, hs)
+			p.LatencyUS[name] = hs.summary()
+		}
+	}
+	for i := range st.stages {
+		p.stages = append(p.stages, st.stages[i].snapshot(obs.Stage(i).String()))
+	}
+	inc, full := st.rebuildInc.snapshot("incremental"), st.rebuildFull.snapshot("full")
+	p.rebuilds = []histSnap{inc, full}
+	p.RebuildIncrementalUS, p.RebuildFullUS = inc.summary(), full.summary()
+	p.RebuildUS = inc.plus(full).summary()
+	return p
+}
+
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.readStats())
 }
 
 // networkInfo is one row of GET /v1/networks. Mechanisms is the
