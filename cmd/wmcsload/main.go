@@ -7,10 +7,16 @@
 // every run also certifies the exposition.
 //
 // The query stream is reproducible: pool contents, Zipf draws and the
-// query→mechanism assignment all derive from -seed, and every response
-// is checked for byte-identity against the first response seen for the
-// same canonical key, so a cache hit that differs from its cold
-// evaluation fails the run (exit 1).
+// query→mechanism assignment all derive from -seed. Every 200 response
+// is verified by one rule, in every mode: a repeat of a (network,
+// version, canonical request) must equal the first response, and after
+// the timed phase each first response must equal the bytes of a cold
+// width-1 evaluation over wmcsload's replica of the network version
+// its X-Wmcs-Version header names. Any mismatch fails the run (exit 1).
+// wmcsload therefore owns its networks' lifecycle: it evicts and
+// re-registers each one before the run, so version 0 is Spec.Build's
+// network, and -churn's updater records a replica of every later
+// version it creates.
 //
 // Mechanism pinning and the re-pin rule: a query is pinned to
 // -mechs[h mod len(-mechs)], where h hashes the query's identity. When
@@ -31,7 +37,7 @@
 //	wmcsload -addr :8571             # drive a running wmcsd
 //	wmcsload -workload uniform       # cache-adversarial baseline
 //	wmcsload -quick                  # small run for CI smoke
-//	wmcsload -parallel 16 -queries 8000 -json
+//	wmcsload -parallel 16 -queries 8000 -json > run.json
 //	wmcsload -quick -parallel-eval 1  # in-process server at one compute slot
 //
 // The in-process server evaluates at -parallel-eval, GOMAXPROCS unless
@@ -50,26 +56,24 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"wmcs/internal/cliutil"
-	"wmcs/internal/detorder"
 	"wmcs/internal/engine"
 	"wmcs/internal/instances"
 	"wmcs/internal/mechreg"
-	"wmcs/internal/obs"
+	"wmcs/internal/query"
 	"wmcs/internal/serve"
-	"wmcs/internal/stats"
 	"wmcs/internal/wireless"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", "", "daemon address (host:port or URL); empty = boot an in-process server")
-		manifest = flag.String("manifest", "", "JSON array of scenario specs to drive (default: the wmcsd demo set)")
+		manifest = flag.String("manifest", "", "JSON array of scenario specs to drive (default: the wmcsd demo set); each is evicted and re-registered before the run")
 		workload = flag.String("workload", "hotset", "workload mix: uniform | hotset | mixed")
 		mechsCSV = flag.String("mechs", strings.Join(mechreg.GeneralNames(), ","),
 			"comma-separated mechanism names to spread queries over (default: every general-domain mechanism)")
@@ -81,10 +85,8 @@ func main() {
 		umax     = flag.Float64("umax", 50, "utilities drawn uniformly from [0, umax)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		quick    = flag.Bool("quick", false, "small run (600 queries, 4 workers, pool 16)")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		repFile  = flag.String("report", "", "write a machine-readable JSON run report (latency summaries, hit rate, queue-wait share from /metricsz deltas) to this file")
-		noVerify = flag.Bool("no-verify", false, "skip response byte-identity verification")
-		churn    = flag.Bool("churn", false, "interleave PATCH network updates with the query stream and verify every response against a cold evaluator on its exact network version (re-registers the driven networks for a version-0 baseline)")
+		jsonOut  = flag.Bool("json", false, "print the run report as one JSON document instead of the table")
+		churn    = flag.Bool("churn", false, "interleave PATCH network updates with the query stream")
 		updates  = flag.Int("updates", 12, "PATCH updates to interleave in -churn mode (quick: 6)")
 		churnMod = flag.String("churn-model", "auto", "churn model: auto | "+strings.Join(instances.ChurnModelNames(), " | "))
 	)
@@ -161,29 +163,25 @@ func main() {
 	if auto && *addr == "" {
 		fmt.Fprintf(os.Stderr, "wmcsload: in-process server at evaluation width %d (auto: GOMAXPROCS)\n", width)
 	}
-	baseURL, shutdown, err := connectOrBoot(*addr, specs, width)
+	baseURL, shutdown, err := connectOrBoot(*addr, width)
 	if err != nil {
 		cliutil.Die("%v", err)
 	}
 	defer shutdown()
-	if *churn {
-		// Churn mode owns its networks' lifecycle: re-register for a
-		// version-0 baseline so replica replay starts from the spec.
-		if err := ensureFreshNetworks(baseURL, specs); err != nil {
-			cliutil.Die("%v", err)
-		}
-	} else if err := ensureNetworks(baseURL, specs); err != nil {
+	if err := ensureFreshNetworks(baseURL, specs); err != nil {
 		cliutil.Die("%v", err)
 	}
 
 	// Client-side replicas of the networks: Spec.Build is deterministic,
-	// so these agree exactly with what the server hosts; samplers only
-	// need station count and source.
+	// so these agree exactly with the version 0 the server now hosts.
+	// Samplers and canonicalization only read them.
 	nets := make([]*wireless.Network, len(specs))
+	replicas := make([]map[uint64]*wireless.Network, len(specs))
 	for i, sp := range specs {
 		if nets[i], err = sp.Build(); err != nil {
 			cliutil.Die("%v", err)
 		}
+		replicas[i] = map[uint64]*wireless.Network{0: nets[i]}
 	}
 
 	// The re-pin domain: per driven network, the supported subset of
@@ -213,13 +211,13 @@ func main() {
 		baseURL:  baseURL,
 		specs:    specs,
 		nets:     nets,
+		replicas: replicas,
 		workload: wl,
 		mechs:    mechs,
 		mechsFor: mechsFor,
 		queries:  *queries,
 		parallel: *parallel,
 		seed:     *seed,
-		verify:   !*noVerify,
 		opts: instances.WorkloadOptions{
 			HotSets: *hot,
 			ZipfS:   *zipfS,
@@ -235,33 +233,36 @@ func main() {
 		go churnDrv.run()
 	}
 	run := runLoad(cfg)
+	var rebuildMS []float64
 	if churnDrv != nil {
-		verified, mismatches, firstErr := churnDrv.finish()
-		run.compared += verified
-		run.mismatches += mismatches
-		if firstErr != "" {
-			run.errors++
-			if run.firstError == "" {
-				run.firstError = firstErr
-			}
+		// The updater has exited once finish returns, so every version
+		// it created has its replica.
+		if err := churnDrv.finish(); err != nil {
+			run.fail(err.Error())
 		}
+		rebuildMS = churnDrv.rebuildMS
 	}
 
 	after, err := scrapeMetrics(baseURL)
 	if err != nil {
 		cliutil.Die("%v", err)
 	}
+	run.mismatch(verify(cfg, run.firsts))
 
-	meta := reportMeta{
-		workload: wl.Name, queries: *queries, parallel: *parallel,
-		hot: *hot, zipf: *zipfS, seed: *seed, nets: len(specs),
-		churn: churnDrv,
+	doc := runReportDoc{
+		Workload: wl.Name, Queries: *queries, Parallel: *parallel,
+		Hot: *hot, Zipf: *zipfS, Seed: *seed, Networks: len(specs),
+		Churn: *churn, RebuildMS: rebuildMS,
 	}
-	report(run, before, after, *jsonOut, meta)
-	if *repFile != "" {
-		if err := writeRunReport(*repFile, buildRunReport(run, meta, before, after)); err != nil {
-			cliutil.Die("writing -report: %v", err)
+	doc.fill(run, before, after)
+	if *jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(doc); err != nil {
+			cliutil.Die("%v", err)
 		}
+	} else {
+		doc.table().Render(os.Stdout)
 	}
 	if run.errors > 0 || run.mismatches > 0 {
 		os.Exit(1)
@@ -269,9 +270,9 @@ func main() {
 }
 
 // connectOrBoot returns the base URL of the target daemon, booting an
-// in-process server on a loopback port when addr is empty so the driver
-// exercises the identical HTTP path either way.
-func connectOrBoot(addr string, specs []instances.Spec, width int) (string, func(), error) {
+// empty in-process server on a loopback port when addr is empty, so
+// every run exercises the identical HTTP path.
+func connectOrBoot(addr string, width int) (string, func(), error) {
 	if addr != "" {
 		if !strings.Contains(addr, "://") {
 			if strings.HasPrefix(addr, ":") {
@@ -283,11 +284,6 @@ func connectOrBoot(addr string, specs []instances.Spec, width int) (string, func
 	}
 	reg := serve.NewRegistry()
 	reg.SetParallel(width)
-	for _, sp := range specs {
-		if err := reg.RegisterSpec(sp); err != nil {
-			return "", nil, err
-		}
-	}
 	srv := serve.NewServer(reg, serve.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -302,51 +298,40 @@ func connectOrBoot(addr string, specs []instances.Spec, width int) (string, func
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
-// ensureNetworks registers any spec the daemon does not already host;
-// conflicts (someone else registered it first) are fine. A name the
-// daemon hosts under a *different* spec is an error: the driver
-// canonicalizes against client-side Spec.Build replicas, so a spec
-// mismatch would surface as inexplicable 400s or false byte-mismatch
-// failures against a perfectly healthy server.
-func ensureNetworks(baseURL string, specs []instances.Spec) error {
-	resp, err := httpClient.Get(baseURL + "/v1/networks")
-	if err != nil {
-		return fmt.Errorf("listing networks: %w", err)
-	}
-	var list struct {
-		Networks []struct {
-			Name string          `json:"name"`
-			Spec *instances.Spec `json:"spec"`
-		} `json:"networks"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&list)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("listing networks: %w", err)
-	}
-	have := map[string]*instances.Spec{}
-	for _, n := range list.Networks {
-		sp := n.Spec
-		if sp == nil {
-			sp = &instances.Spec{} // hosted, but not built from a spec
-		}
-		have[n.Name] = sp
-	}
+// ensureFreshNetworks re-registers every driven network — evict if
+// hosted, then register — so the run starts from version 0 of the exact
+// spec the client replicas are built from, whatever the daemon hosted
+// under that name before (an earlier churn run, a different spec). A
+// name listed twice is an error: its second registration would evict
+// the first, and the first spec's replica would no longer match.
+func ensureFreshNetworks(baseURL string, specs []instances.Spec) error {
+	listed := map[string]bool{}
 	for _, sp := range specs {
-		if hosted, ok := have[sp.Name]; ok {
-			if *hosted != sp {
-				return fmt.Errorf("network %q is already hosted with a different spec (server: %+v, driver: %+v) — the driver's client-side replica would disagree with the server; evict it or rename the driver spec", sp.Name, *hosted, sp)
-			}
-			continue
+		if listed[sp.Name] {
+			return fmt.Errorf("network %q is listed twice", sp.Name)
+		}
+		listed[sp.Name] = true
+		delReq, err := http.NewRequest(http.MethodDelete, baseURL+"/v1/networks/"+sp.Name, nil)
+		if err != nil {
+			return err
+		}
+		resp, err := httpClient.Do(delReq)
+		if err != nil {
+			return fmt.Errorf("evicting %s: %w", sp.Name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+			return fmt.Errorf("evicting %s: status %d", sp.Name, resp.StatusCode)
 		}
 		b, _ := json.Marshal(sp)
-		resp, err := httpClient.Post(baseURL+"/v1/networks", "application/json", bytes.NewReader(b))
+		resp, err = httpClient.Post(baseURL+"/v1/networks", "application/json", bytes.NewReader(b))
 		if err != nil {
 			return fmt.Errorf("registering %s: %w", sp.Name, err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
+		if resp.StatusCode != http.StatusCreated {
 			return fmt.Errorf("registering %s: status %d", sp.Name, resp.StatusCode)
 		}
 	}
@@ -354,15 +339,19 @@ func ensureNetworks(baseURL string, specs []instances.Spec) error {
 }
 
 // httpClient is the driver's shared client for the control-plane calls
-// (listing, registration, /metricsz scrapes). The timeout turns a wedged daemon
-// into a reported error rather than an indefinite hang (CI runs this
-// with no step-level timeout).
+// (registration, PATCH updates, /metricsz scrapes). The timeout turns a
+// wedged daemon into a reported error rather than an indefinite hang
+// (CI runs this with no step-level timeout).
 var httpClient = &http.Client{Timeout: 30 * time.Second}
 
 type loadConfig struct {
-	baseURL  string
-	specs    []instances.Spec
-	nets     []*wireless.Network
+	baseURL string
+	specs   []instances.Spec
+	nets    []*wireless.Network
+	// replicas[j] maps each version of network j the run knows to its
+	// replica: version 0 is nets[j], and -churn's updater adds the
+	// versions it creates. Read only after the updater exits.
+	replicas []map[uint64]*wireless.Network
 	workload instances.Workload
 	mechs    []string
 	// mechsFor[j] is the supported subset of mechs on network j, in
@@ -371,10 +360,8 @@ type loadConfig struct {
 	queries  int
 	parallel int
 	seed     int64
-	verify   bool
 	opts     instances.WorkloadOptions
-	// churn, when non-nil, switches verification to the churn driver's
-	// generation-pinned cold comparison and paces its updater.
+	// churn, when non-nil, is paced by the query stream.
 	churn *churnDriver
 }
 
@@ -399,15 +386,42 @@ type mechStats struct {
 	latMS                []float64
 }
 
+// firstResponse is the first 200 body the run saw for one (network,
+// version, canonical request); verify checks it against a cold
+// evaluation.
+type firstResponse struct {
+	net     int
+	version string // X-Wmcs-Version as served
+	req     serve.CanonRequest
+	body    []byte
+}
+
 type loadResult struct {
 	wall       time.Duration
 	perMech    map[string]*mechStats
 	errors     int
 	firstError string
 	mismatches int
-	distinct   int
 	compared   int
 	repinned   int
+	// seen maps (network, version, canonical key) to the first response's
+	// bytes; firsts lists those responses for verify.
+	seen   map[string][]byte
+	firsts []firstResponse
+}
+
+func (r *loadResult) fail(msg string) {
+	r.errors++
+	if r.firstError == "" {
+		r.firstError = msg
+	}
+}
+
+func (r *loadResult) mismatch(n int, msg string) {
+	r.mismatches += n
+	if n > 0 && r.firstError == "" {
+		r.firstError = msg
+	}
 }
 
 // runLoad fans the query stream over parallel client workers. Worker w
@@ -415,15 +429,16 @@ type loadResult struct {
 // sampler per network whose hot pool derives from (seed, network) only
 // — shared across workers — while its draw order derives from (seed,
 // worker, network), so workers hammer the same working set from
-// independent angles.
+// independent angles. Each 200 response is compared with the first
+// response for its (network, version, canonical request), or becomes
+// that first response.
 func runLoad(cfg loadConfig) loadResult {
-	res := loadResult{perMech: map[string]*mechStats{}}
+	res := loadResult{perMech: map[string]*mechStats{}, seen: map[string][]byte{}}
 	for _, m := range cfg.mechs {
 		res.perMech[m] = &mechStats{}
 	}
 	var (
-		mu   sync.Mutex
-		seen = map[string][]byte{}
+		mu sync.Mutex
 		// Generous per-request timeout: cold wireless-bb evaluations take
 		// tens of milliseconds, so a minute means the daemon is wedged —
 		// count it as an error instead of hanging the run (and CI) forever.
@@ -448,11 +463,6 @@ func runLoad(cfg loadConfig) loadResult {
 				j := q % len(cfg.nets)
 				query := samplers[j].Next()
 				mechName, repinned := cfg.pinMech(j, mechFor(query))
-				if repinned {
-					mu.Lock()
-					res.repinned++
-					mu.Unlock()
-				}
 				req := serve.EvalRequest{
 					Network: cfg.specs[j].Name,
 					Mech:    mechName,
@@ -466,80 +476,34 @@ func runLoad(cfg loadConfig) loadResult {
 					// Pace the updater on attempts, success or not.
 					cfg.churn.completed.Add(1)
 				}
-				if err != nil {
-					mu.Lock()
-					res.errors++
-					if res.firstError == "" {
-						res.firstError = err.Error()
-					}
-					mu.Unlock()
-					continue
+				var respBody []byte
+				if err == nil {
+					respBody, _ = io.ReadAll(resp.Body)
+					resp.Body.Close()
 				}
-				respBody, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
 				lat := time.Since(t0)
-				source := resp.Header.Get("X-Wmcs-Cache")
-				// Churn verification runs outside the global mutex (it may
-				// evaluate cold); its verdict is folded into the counters
-				// below.
-				v := verdictSkip
-				if cfg.verify && cfg.churn != nil && resp.StatusCode == http.StatusOK {
-					v = cfg.churn.check(j, req, resp.Header.Get("X-Wmcs-Version"), respBody)
-				}
 				mu.Lock()
-				if resp.StatusCode != http.StatusOK {
-					res.errors++
-					if res.firstError == "" {
-						res.firstError = fmt.Sprintf("status %d: %s", resp.StatusCode, respBody)
-					}
-					mu.Unlock()
-					continue
-				}
-				ms := res.perMech[mechName]
-				ms.count++
-				ms.latMS = append(ms.latMS, float64(lat.Nanoseconds())/1e6)
-				switch source {
-				case "hit":
-					ms.hits++
-				case "coalesced":
-					ms.coales++
-				default:
-					ms.misses++
+				if repinned {
+					res.repinned++
 				}
 				switch {
-				case cfg.verify && cfg.churn != nil:
-					switch v {
-					case verdictOK:
-						res.compared++
-					case verdictMismatch:
-						res.compared++
-						res.mismatches++
-						if res.firstError == "" {
-							res.firstError = fmt.Sprintf("byte mismatch on %s/%s vs cold evaluation of version %s",
-								req.Network, req.Mech, resp.Header.Get("X-Wmcs-Version"))
-						}
+				case err != nil:
+					res.fail(err.Error())
+				case resp.StatusCode != http.StatusOK:
+					res.fail(fmt.Sprintf("status %d: %s", resp.StatusCode, respBody))
+				default:
+					ms := res.perMech[mechName]
+					ms.count++
+					ms.latMS = append(ms.latMS, float64(lat.Nanoseconds())/1e6)
+					switch resp.Header.Get("X-Wmcs-Cache") {
+					case "hit":
+						ms.hits++
+					case "coalesced":
+						ms.coales++
+					default:
+						ms.misses++
 					}
-					// verdictPending resolves in churnDriver.finish;
-					// verdictSkip is uncounted.
-				case cfg.verify:
-					c, cerr := serve.Canonicalize(req, cfg.nets[j].N(), cfg.nets[j].Source())
-					if cerr == nil {
-						// Canon keys are per-network; qualify with the name
-						// (one run never crosses a re-registration, so the
-						// name is identity enough client-side).
-						key := req.Network + "\x1f" + c.Key
-						if prev, ok := seen[key]; ok {
-							res.compared++
-							if !bytes.Equal(prev, respBody) {
-								res.mismatches++
-								if res.firstError == "" {
-									res.firstError = fmt.Sprintf("byte mismatch on %s/%s", req.Network, req.Mech)
-								}
-							}
-						} else {
-							seen[key] = respBody
-						}
-					}
+					res.check(j, req, resp.Header.Get("X-Wmcs-Version"), respBody, cfg.nets[j])
 				}
 				mu.Unlock()
 			}
@@ -547,8 +511,77 @@ func runLoad(cfg loadConfig) loadResult {
 	}
 	wg.Wait()
 	res.wall = time.Since(start)
-	res.distinct = len(seen)
 	return res
+}
+
+// check applies the repeat half of the verification rule to one 200
+// response: a repeat must equal the first response for its (network,
+// version, canonical request), and a first response is kept for verify.
+func (r *loadResult) check(j int, req serve.EvalRequest, version string, body []byte, nw *wireless.Network) {
+	r.compared++
+	c, err := serve.Canonicalize(req, nw.N(), nw.Source())
+	if err != nil {
+		r.mismatch(1, fmt.Sprintf("%s/%s answered 200 to a request the client cannot canonicalize: %v", req.Network, req.Mech, err))
+		return
+	}
+	key := req.Network + "\x1f" + version + "\x1f" + c.Key
+	first, ok := r.seen[key]
+	if !ok {
+		r.seen[key] = body
+		r.firsts = append(r.firsts, firstResponse{net: j, version: version, req: c, body: body})
+		return
+	}
+	if !bytes.Equal(first, body) {
+		r.mismatch(1, fmt.Sprintf("byte mismatch on %s/%s at version %s: a repeat differs from the first response", req.Network, req.Mech, version))
+	}
+}
+
+// verify applies the cold half of the verification rule: each first
+// response must equal serve.EncodeOutcome of a cold width-1 evaluator
+// over the replica of the version it names. Width 1 verifies a server
+// at any width, because the bytes are width-invariant (DESIGN.md §14).
+// It runs serially after the timed phase and returns the mismatch
+// count and the first mismatch's description.
+func verify(cfg loadConfig, firsts []firstResponse) (mismatches int, firstMismatch string) {
+	evs := map[[2]uint64]*query.Evaluator{}
+	for _, f := range firsts {
+		want, err := coldBytes(cfg, evs, f)
+		if err == nil && bytes.Equal(want, f.body) {
+			continue
+		}
+		mismatches++
+		if firstMismatch != "" {
+			continue
+		}
+		if err == nil {
+			err = fmt.Errorf("byte mismatch on %s/%s vs cold evaluation of version %s", cfg.specs[f.net].Name, f.req.Mech, f.version)
+		}
+		firstMismatch = err.Error()
+	}
+	return mismatches, firstMismatch
+}
+
+// coldBytes evaluates f's canonical request on a cold evaluator over
+// the replica of the version f names; evs holds one evaluator per
+// (network, version).
+func coldBytes(cfg loadConfig, evs map[[2]uint64]*query.Evaluator, f firstResponse) ([]byte, error) {
+	name := cfg.specs[f.net].Name
+	ver, err := strconv.ParseUint(f.version, 10, 64)
+	replica := cfg.replicas[f.net][ver]
+	if err != nil || replica == nil {
+		return nil, fmt.Errorf("response labeled version %q of %s, which the run never created", f.version, name)
+	}
+	key := [2]uint64{uint64(f.net), ver}
+	ev := evs[key]
+	if ev == nil {
+		ev = query.NewEvaluator(replica)
+		evs[key] = ev
+	}
+	m, err := ev.Mechanism(f.req.Mech)
+	if err != nil {
+		return nil, fmt.Errorf("%s at version %d: %w", name, ver, err)
+	}
+	return serve.EncodeOutcome(name, f.req.Mech, m.Run(f.req.Profile))
 }
 
 // mechFor assigns a mechanism index to a query by hashing its identity
@@ -567,69 +600,4 @@ func mechFor(q instances.Query) int {
 		h.Write(buf[:])
 	}
 	return int(h.Sum64() % math.MaxInt32)
-}
-
-type reportMeta struct {
-	workload          string
-	queries, parallel int
-	hot               int
-	zipf              float64
-	seed              int64
-	nets              int
-	churn             *churnDriver // nil outside -churn mode
-}
-
-func report(run loadResult, before, after *obs.PromDoc, jsonOut bool, meta reportMeta) {
-	tab := stats.NewTable(
-		fmt.Sprintf("wmcsload: %s workload, %d queries, %d workers (seed %d)",
-			meta.workload, meta.queries, meta.parallel, meta.seed),
-		"mechanism", "queries", "hit", "miss", "coalesced", "p50 ms", "p90 ms", "p99 ms")
-	for _, n := range detorder.Keys(run.perMech) {
-		ms := run.perMech[n]
-		sort.Float64s(ms.latMS)
-		q := func(p float64) string {
-			if len(ms.latMS) == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.3f", stats.Quantile(ms.latMS, p))
-		}
-		tab.Add(n, fmt.Sprint(ms.count), fmt.Sprint(ms.hits), fmt.Sprint(ms.misses),
-			fmt.Sprint(ms.coales), q(0.50), q(0.90), q(0.99))
-	}
-	served := meta.queries - run.errors
-	qps := float64(served) / run.wall.Seconds()
-	tab.Note("mix: %d networks, hot pool %d/network, zipf s=%g", meta.nets, meta.hot, meta.zipf)
-	tab.Note("wall %.2fs   throughput %.0f q/s   errors %d", run.wall.Seconds(), qps, run.errors)
-	grew := func(name string) uint64 { return counterDelta(before, after, name) }
-	dHits, dQueries := grew("wmcs_cache_hits_total"), grew("wmcs_requests_total")
-	hitRate := 0.0
-	if dQueries > 0 {
-		hitRate = float64(dHits) / float64(dQueries)
-	}
-	tab.Note("server: %d queries, %d cache hits (hit rate %.1f%%), %d coalesced, %d evaluations",
-		dQueries, dHits, 100*hitRate, grew("wmcs_coalesced_total"), grew("wmcs_evaluations_total"))
-	if meta.churn != nil {
-		meta.churn.report(tab)
-		tab.Note("server: %d updates applied (%d ops); generation-bumped in place, no evict/re-register",
-			grew("wmcs_updates_total"), grew("wmcs_update_ops_total"))
-		tab.Note("verification: %d responses verified against cold per-version evaluators, %d byte mismatches",
-			run.compared, run.mismatches)
-	} else {
-		tab.Note("verification: %d distinct queries, %d repeat responses compared, %d byte mismatches",
-			run.distinct, run.compared, run.mismatches)
-	}
-	if run.repinned > 0 {
-		tab.Note("re-pinned %d queries whose hash-pinned mechanism the target network does not support", run.repinned)
-	}
-	if run.firstError != "" {
-		tab.Note("first error: %s", run.firstError)
-	}
-	if jsonOut {
-		if err := tab.RenderJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	tab.Render(os.Stdout)
 }

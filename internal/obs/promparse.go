@@ -13,11 +13,11 @@ import (
 )
 
 // This file is the scrape side of prom.go: a strict parser for the text
-// exposition format, used by wmcsload (the -report queue-wait share) and
-// by the /metricsz tests. Strict means every line must be a well-formed
-// comment or sample — a malformed line is an error, not a skip — because
-// the parser's main job here is to certify that the daemon's exposition
-// is valid, not to survive someone else's.
+// exposition format, used by wmcsload's run report and by the /metricsz
+// tests. Strict means every line must be a well-formed comment or
+// sample — a malformed line is an error, not a skip — because the
+// parser's main job here is to certify that the daemon's exposition is
+// valid, not to survive someone else's.
 
 // PromSample is one parsed sample line.
 type PromSample struct {
