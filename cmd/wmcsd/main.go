@@ -39,14 +39,13 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8571", "listen address")
-		manifest   = flag.String("manifest", "", "startup manifest: JSON array of scenario specs (default: a demo set)")
-		cache      = flag.Int("cache", serve.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
-		parEval    = flag.Int("parallel-eval", 0, "evaluation width: wireless-bb spider-oracle scans and concurrent evaluations (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
-		pprof      = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
-		logFormat  = flag.String("log", "text", "log format: text or json")
-		slow       = flag.Duration("slow", serve.DefaultSlowRequest, "slow-request threshold: OK responses at or above it are logged and counted (negative disables)")
-		slowTraces = flag.Int("slowtraces", serve.DefaultSlowTraces, "how many slowest traces /debugz/slow retains (negative disables)")
+		addr      = flag.String("addr", ":8571", "listen address")
+		manifest  = flag.String("manifest", "", "startup manifest: JSON array of scenario specs (default: a demo set)")
+		cache     = flag.Int("cache", serve.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
+		parEval   = flag.Int("parallel-eval", 0, "evaluation width: wireless-bb spider-oracle scans and concurrent evaluations (0 = GOMAXPROCS, logged at boot); the bytes served are the same at every width")
+		pprof     = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
+		logFormat = flag.String("log", "text", "log format: text or json")
+		slow      = flag.Duration("slow", serve.DefaultSlowRequest, "slow-request threshold: OK responses at or above it are logged and counted (negative disables)")
 	)
 	cliutil.Parse()
 
@@ -117,7 +116,7 @@ func main() {
 
 	// The flag speaks the cache's own contract (0 disables, matching
 	// serve.NewCache); Options uses 0 for "unset", so translate. The
-	// same convention covers -slow and -slowtraces.
+	// same convention covers -slow.
 	cacheCap := *cache
 	if cacheCap == 0 {
 		cacheCap = -1
@@ -126,15 +125,10 @@ func main() {
 	if slowThreshold == 0 {
 		slowThreshold = -1
 	}
-	ringSize := *slowTraces
-	if ringSize == 0 {
-		ringSize = -1
-	}
 	srv := serve.NewServer(reg, serve.Options{
 		CacheCapacity: cacheCap,
 		Logger:        logger,
 		SlowRequest:   slowThreshold,
-		SlowTraces:    ringSize,
 	})
 	httpSrv := newHTTPServer(*addr, srv)
 

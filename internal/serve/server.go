@@ -38,10 +38,6 @@ type Options struct {
 	// worth a look in /debugz/slow. 0 selects DefaultSlowRequest;
 	// negative disables slow classification.
 	SlowRequest time.Duration
-	// SlowTraces is the capacity of the slowest-trace ring behind
-	// /debugz/slow. 0 selects DefaultSlowTraces; negative disables
-	// retention (the endpoint then always answers an empty list).
-	SlowTraces int
 }
 
 // Server is the HTTP face of the query service. Create with NewServer,
@@ -91,14 +87,11 @@ func NewServer(reg *Registry, opts Options) *Server {
 	if opts.SlowRequest == 0 {
 		opts.SlowRequest = DefaultSlowRequest
 	}
-	if opts.SlowTraces == 0 {
-		opts.SlowTraces = DefaultSlowTraces
-	}
 	s := &Server{
 		reg:    reg,
 		cache:  NewCache(opts.CacheCapacity, 16),
 		stats:  NewStats(),
-		tracer: obs.NewTracer(opts.SlowTraces),
+		tracer: obs.NewTracer(DefaultSlowTraces),
 		logger: opts.Logger,
 		slow:   opts.SlowRequest,
 		boot:   time.Now(),

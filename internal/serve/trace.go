@@ -25,8 +25,8 @@ import (
 // leaves Options.SlowRequest unset.
 const DefaultSlowRequest = 250 * time.Millisecond
 
-// DefaultSlowTraces is the /debugz/slow ring capacity selected by an
-// unset Options.SlowTraces.
+// DefaultSlowTraces is the capacity of the slowest-trace ring behind
+// /debugz/slow.
 const DefaultSlowTraces = 32
 
 // tracedResponse is the ?trace=1 envelope: the span breakdown plus the
