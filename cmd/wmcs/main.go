@@ -1,9 +1,9 @@
 // Command wmcs generates wireless multicast instances and runs the
 // paper's cost-sharing mechanisms on them, printing the receiver set,
 // the per-agent cost shares, the solution cost and the axiom checks.
-// It can also run the whole simulated-evaluation suite (-suite), emit
-// machine-readable JSON (-json), and parallelize the evaluation engine
-// (-parallel).
+// It can also emit machine-readable JSON (-json) and parallelize the
+// evaluation engine (-parallel). The whole simulated-evaluation suite
+// is cmd/benchtab.
 //
 // Every mechanism run goes through the wmcs.Evaluator query engine, so a
 // -batch run amortizes the per-network substrates (NWST reduction,
@@ -14,8 +14,6 @@
 //	wmcs -mech wireless-bb -model euclid -n 10 -d 2 -alpha 2 -seed 1 -umax 50
 //	wmcs -mech jv-moat -model clustered -n 12        # any registry scenario
 //	wmcs -mech wireless-bb -batch 32 -parallel 8     # batched profile sweep
-//	wmcs -suite -quick -parallel 4                   # the E1–E13/A1–A4 tables
-//	wmcs -suite -json > tables.jsonl                 # one JSON table per line
 //	wmcs -list                                       # registry: mechanisms (domain, guarantees) + scenarios
 //	wmcs -list -json                                 # machine-readable name lists
 package main
@@ -30,7 +28,6 @@ import (
 
 	"wmcs"
 	"wmcs/internal/cliutil"
-	"wmcs/internal/experiments"
 	"wmcs/internal/instances"
 	"wmcs/internal/mechreg"
 	"wmcs/internal/stats"
@@ -47,8 +44,6 @@ func main() {
 		umax     = flag.Float64("umax", 50, "utilities are drawn uniformly from [0, umax)")
 		batch    = flag.Int("batch", 1, "profiles to evaluate as one EvaluateBatch query")
 		list     = flag.Bool("list", false, "list mechanisms and scenarios, then exit")
-		suite    = flag.Bool("suite", false, "run the full experiment suite instead of a single mechanism")
-		quick    = flag.Bool("quick", false, "with -suite: reduced trial counts")
 		parallel = flag.Int("parallel", 0, "evaluation-engine workers: 1 = serial, 0 = GOMAXPROCS")
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON (one object per line)")
 	)
@@ -79,18 +74,6 @@ func main() {
 		for _, s := range instances.Scenarios() {
 			fmt.Printf("  %-10s %s\n", s.Name, s.Desc)
 		}
-		return
-	}
-	if *suite {
-		cfg := experiments.Config{Quick: *quick, Workers: *parallel}
-		if *jsonOut {
-			if err := experiments.RunAllJSON(os.Stdout, cfg); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		experiments.RunAll(os.Stdout, cfg)
 		return
 	}
 	// Validate names before any work so bad input dies with a usage

@@ -36,21 +36,6 @@ import (
 	"wmcs/internal/wireless"
 )
 
-// Names lists the mechanism names an Evaluator accepts, in registry
-// order (delegated to the descriptor registry — the single source of
-// truth for mechanism names).
-func Names() []string { return mechreg.Names() }
-
-// ErrUnknownMechanism and ErrUnsupportedDomain are the registry's typed
-// lookup errors, re-exported so evaluator callers can branch without
-// importing mechreg: an unknown name is a caller bug (the serving layer
-// answers 400), a domain mismatch is a valid name on the wrong network
-// class (422).
-var (
-	ErrUnknownMechanism  = mechreg.ErrUnknownMechanism
-	ErrUnsupportedDomain = mechreg.ErrUnsupportedDomain
-)
-
 // Evaluator is the reusable query engine for one network: it caches the
 // shared substrate (MEMT→NWST reduction, universal tree) inside a
 // registry BuildContext and one mechanism instance per registry name,
@@ -168,13 +153,13 @@ func (e *Evaluator) seedReduction(rd *memtred.Reduction) {
 
 // Supported lists, in registry order, the mechanism names whose declared
 // domain admits this evaluator's network — exactly the names Evaluate
-// will not reject with ErrUnsupportedDomain.
+// will not reject with mechreg.ErrUnsupportedDomain.
 func (e *Evaluator) Supported() []string { return mechreg.SupportedNames(e.net) }
 
 // Mechanism returns the cached mechanism for a registry name, building
 // and validating it on first use (a registry lookup plus the
-// descriptor's domain check; errors wrap ErrUnknownMechanism or
-// ErrUnsupportedDomain and carry the public "wmcs:" prefix because they
+// descriptor's domain check; errors wrap mechreg.ErrUnknownMechanism or
+// mechreg.ErrUnsupportedDomain and carry the public "wmcs:" prefix because they
 // surface unchanged through the wmcs.Evaluator alias and wmcs.ByName).
 // The returned mechanism is shared: all registry mechanisms are safe
 // for concurrent Run.

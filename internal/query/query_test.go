@@ -11,6 +11,7 @@ import (
 	"wmcs/internal/instances"
 	"wmcs/internal/jv"
 	"wmcs/internal/mech"
+	"wmcs/internal/mechreg"
 	"wmcs/internal/nwst"
 	"wmcs/internal/universal"
 	"wmcs/internal/wireless"
@@ -193,16 +194,16 @@ func TestEvaluatorErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	nw := instances.RandomEuclidean(rng, 6, 2, 2, 10) // α=2, d=2
 	ev := NewEvaluator(nw)
-	if _, err := ev.Mechanism("alpha1-shapley"); !errors.Is(err, ErrUnsupportedDomain) {
+	if _, err := ev.Mechanism("alpha1-shapley"); !errors.Is(err, mechreg.ErrUnsupportedDomain) {
 		t.Errorf("alpha1 on α=2 network: %v, want ErrUnsupportedDomain", err)
 	}
-	if _, err := ev.Mechanism("line-mc"); !errors.Is(err, ErrUnsupportedDomain) {
+	if _, err := ev.Mechanism("line-mc"); !errors.Is(err, mechreg.ErrUnsupportedDomain) {
 		t.Errorf("line on 2-d network: %v, want ErrUnsupportedDomain", err)
 	}
-	if _, err := ev.Mechanism("bogus"); !errors.Is(err, ErrUnknownMechanism) {
+	if _, err := ev.Mechanism("bogus"); !errors.Is(err, mechreg.ErrUnknownMechanism) {
 		t.Errorf("unknown mechanism: %v, want ErrUnknownMechanism", err)
 	}
-	if _, err := ev.Evaluate("bogus", nil, mech.Profile{}); !errors.Is(err, ErrUnknownMechanism) {
+	if _, err := ev.Evaluate("bogus", nil, mech.Profile{}); !errors.Is(err, mechreg.ErrUnknownMechanism) {
 		t.Errorf("Evaluate unknown mechanism: %v, want ErrUnknownMechanism", err)
 	}
 }
@@ -227,12 +228,12 @@ func TestEvaluatorSupported(t *testing.T) {
 			supported[name] = true
 		}
 		u := mech.RandomProfile(rng, tc.nw.N(), 40)
-		for _, name := range Names() {
+		for _, name := range mechreg.Names() {
 			_, err := ev.Evaluate(name, nil, u)
 			if supported[name] && err != nil {
 				t.Errorf("%s: Supported lists %s but Evaluate failed: %v", tc.label, name, err)
 			}
-			if !supported[name] && !errors.Is(err, ErrUnsupportedDomain) {
+			if !supported[name] && !errors.Is(err, mechreg.ErrUnsupportedDomain) {
 				t.Errorf("%s: Supported omits %s but Evaluate returned %v", tc.label, name, err)
 			}
 		}
