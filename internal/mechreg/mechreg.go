@@ -183,16 +183,6 @@ type Descriptor struct {
 	// means every symmetric network. A non-nil return wraps
 	// ErrUnsupportedDomain.
 	Supports func(nw *wireless.Network) error
-	// CarrySafe, when non-nil, is the mechanism's delta-safety predicate
-	// for the serving layer's cache carry-forward pass (DESIGN.md §12):
-	// it reports whether an exact-tier outcome computed on old, for the
-	// canonical support set (the stations with nonzero canonical
-	// utility), is provably byte-identical on new, where d is the delta
-	// of the update that produced new from old. nil means "never carry"
-	// — the conservative default every mechanism keeps unless a
-	// documented proof argues otherwise. Implementations must never
-	// return true on a hunch: a wrong true serves stale bytes.
-	CarrySafe func(old, new *wireless.Network, d wireless.Delta, support []int) bool
 	// Build constructs the mechanism over the shared substrate. It must
 	// only be called after Supports accepted ctx's network; the registry
 	// wraps the result so Name() always reports the registry name.

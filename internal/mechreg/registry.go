@@ -60,55 +60,6 @@ func supportsLine(name string) func(nw *wireless.Network) error {
 // mechanisms.
 func betaOne(*wireless.Network, int) float64 { return 1 }
 
-// alpha1ShapleyCarrySafe is the one non-nil CarrySafe in the registry
-// (DESIGN.md §12.3 states the proof obligations in full). The airport
-// Shapley mechanism reads only the source's distance row c(s, ·), so
-// under the delta pair contract an outcome can be disturbed only by
-// touched stations (the source itself untouched). The predicate accepts
-// exactly when every touched station m
-//
-//   - is not the source (else the whole row is suspect),
-//   - has zero canonical utility (m is outside the cached support), and
-//   - sits at distance c(s, m) > n·mech.Eps in BOTH networks,
-//
-// which makes the outcome invariant: m's round-one Shapley share is at
-// least c(s, m)/(n−1) > mech.Eps in either network, so no ε-stable
-// coalition contains m — Moulin–Shenker's iteration on the cross-
-// monotone airport ξ converges to the maximal stable set, the family of
-// stable sets is identical in both networks (sets with m are unstable
-// in both; sets without any touched station have bitwise-equal shares,
-// since every distance they read is untouched), and the final
-// receivers, shares and tree cost are recomputed fresh on that set from
-// clean distances. alpha1-mc deliberately has NO predicate: its
-// best-prefix scan serves zero-utility stations inside the winning
-// prefix, so a touched station's distance can move it across the
-// served/unserved boundary and change the receiver list even at zero
-// utility. The sampled (approx) tier is never carried for any
-// mechanism: its permutations range over the full agent set and observe
-// touched distances directly.
-func alpha1ShapleyCarrySafe(old, nu *wireless.Network, d wireless.Delta, support []int) bool {
-	src := nu.Source()
-	touched := d.TouchedStations()
-	if d.Empty() || len(touched) == 0 {
-		return false
-	}
-	tol := float64(nu.N()) * mech.Eps
-	for _, m := range touched {
-		if m == src {
-			return false
-		}
-		for _, r := range support {
-			if r == m {
-				return false
-			}
-		}
-		if !(old.C(src, m) > tol && nu.C(src, m) > tol) {
-			return false
-		}
-	}
-	return true
-}
-
 // registry lists the paper's mechanism family in presentation order.
 var registry = []Descriptor{
 	{
@@ -180,8 +131,7 @@ var registry = []Descriptor{
 			Strategyproofness: GSP,
 			NPT:               true, VP: true, CS: true,
 		},
-		Supports:  supportsAlpha1(Alpha1Shapley),
-		CarrySafe: alpha1ShapleyCarrySafe,
+		Supports: supportsAlpha1(Alpha1Shapley),
 		Build: func(ctx *BuildContext) (mech.Mechanism, error) {
 			return euclid1.NewAirportGame(ctx.Net).ShapleyMechanism(), nil
 		},

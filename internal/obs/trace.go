@@ -50,8 +50,6 @@ const (
 	StageEncode
 	// StageRebuild covers a PATCH's evaluator rebuild+warm+swap.
 	StageRebuild
-	// StageCarryForward covers a PATCH's cache carry-forward pass.
-	StageCarryForward
 	// StagePurge covers a PATCH's retired-prefix cache purge.
 	StagePurge
 	// NumStages bounds Stage values (array sizing).
@@ -60,7 +58,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"admission", "canonicalize", "cache_lookup", "coalesce", "queue_wait",
-	"evaluate", "compute", "encode", "rebuild", "carry_forward", "purge",
+	"evaluate", "compute", "encode", "rebuild", "purge",
 }
 
 // String returns the stage's stable wire name.

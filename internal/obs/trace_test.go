@@ -149,7 +149,7 @@ func TestSlowRingKeepsSlowest(t *testing.T) {
 // JSON depend on them.
 func TestStageNamesStable(t *testing.T) {
 	want := []string{"admission", "canonicalize", "cache_lookup", "coalesce",
-		"queue_wait", "evaluate", "compute", "encode", "rebuild", "carry_forward", "purge"}
+		"queue_wait", "evaluate", "compute", "encode", "rebuild", "purge"}
 	names := StageNames()
 	if len(names) != len(want) || len(names) != int(NumStages) {
 		t.Fatalf("StageNames() = %v", names)

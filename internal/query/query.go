@@ -65,8 +65,8 @@ import (
 // before (TestEvaluatorConcurrentHammer pins this under -race).
 type Evaluator struct {
 	net *wireless.Network
-	// noDelta disables the versioned evaluator's delta-aware update
-	// paths (WithoutDeltaRebuild) — carried here because options apply
+	// noDelta disables the versioned evaluator's incremental reduction
+	// rebuild (WithoutDeltaRebuild) — carried here because options apply
 	// per evaluator and VersionedEvaluator consults the current one.
 	noDelta bool
 

@@ -71,10 +71,9 @@ func (v *VersionedEvaluator) Version() uint64 { return v.Current().Version }
 // through Update only).
 func (v *VersionedEvaluator) Network() *wireless.Network { return v.Current().Ev.Network() }
 
-// UpdateResult reports what one Update did: the version transition, the
-// rebuild wall clock, which rebuild path ran, and the inputs the
-// serving layer's cache carry-forward pass needs (the accumulated
-// delta and the frozen old/new network snapshots).
+// UpdateResult reports what one Update did: the version transition,
+// the rebuild wall clock, which rebuild path ran, and the accumulated
+// delta.
 type UpdateResult struct {
 	// OldVersion and NewVersion are the version transition; equal for a
 	// no-op or failed update.
@@ -83,23 +82,13 @@ type UpdateResult struct {
 	// no-op), the figure the serving layer histograms — split by
 	// Incremental.
 	Rebuild time.Duration
-	// Incremental reports that the delta path reused substrate: either
-	// the update canceled out bitwise (Unchanged) or the MEMT→NWST
-	// reduction was rebuilt incrementally from the outgoing evaluator's.
+	// Incremental reports that the MEMT→NWST reduction was rebuilt
+	// incrementally from the outgoing evaluator's.
 	Incremental bool
-	// Unchanged reports the fast path for op sequences that cancel out
-	// bitwise (a disable+enable round trip): the outgoing evaluator is
-	// republished under the new version with zero rebuild, and every
-	// cache entry of the old version remains valid verbatim.
-	Unchanged bool
-	// RebuiltMechs counts the mechanisms warmed onto the new evaluator
-	// (0 on the Unchanged path).
+	// RebuiltMechs counts the mechanisms warmed onto the new evaluator.
 	RebuiltMechs int
 	// Delta is the accumulated change record of the update's ops.
 	Delta wireless.Delta
-	// OldNet and NewNet are the frozen pre/post network snapshots the
-	// carry-forward predicates compare (nil for no-op/failed updates).
-	OldNet, NewNet *wireless.Network
 }
 
 // Update applies mutate to a private copy of the live network and, if
@@ -112,27 +101,24 @@ type UpdateResult struct {
 //   - a successful mutate that bumps nothing (every op a true no-op) is
 //     a no-op: OldVersion == NewVersion and the current pair is
 //     untouched;
-//   - an op sequence that cancels out bitwise (StateEqual) republishes
-//     the outgoing evaluator under the new version — zero rebuild, and
-//     byte-identity is trivial because it IS the same evaluator;
-//   - otherwise a new evaluator is built. When the accumulated delta
-//     left rows clean (a single-row SetCost) and the outgoing evaluator
-//     had built the MEMT→NWST reduction, the new one is seeded with an
+//   - otherwise a new evaluator is built, even when the ops cancel out
+//     (a disable+enable round trip). When the accumulated delta left
+//     rows clean (a single-row SetCost) and the outgoing evaluator had
+//     built the MEMT→NWST reduction, the new one is seeded with an
 //     incremental rebuild (memtred.Rebuild) — structurally identical to
 //     a from-scratch build, so byte-identity is preserved while the
 //     dominant per-update cost scales with the dirty rows, not n³. The
 //     evaluator is then *warmed*: every mechanism name the outgoing
 //     evaluator had built is rebuilt (in sorted name order), so the
 //     serving path never pays first-query latency right after an
-//     update. Mechanism instances are never carried across versions —
-//     their trajectory memos observe the whole network, and DESIGN.md
-//     §12.2 documents why every attempted carry predicate for them is
-//     unsound. Rebuild is the construction+warm wall clock.
+//     update. Mechanism instances are never reused across versions —
+//     their trajectory memos observe the whole network (DESIGN.md
+//     §11.1). Rebuild is the construction+warm wall clock.
 //
-// WithoutDeltaRebuild disables the two reuse paths (the full-rebuild
-// baseline E15b measures against). Concurrent readers keep whatever
-// pair they already resolved; the swap only changes what later Current
-// calls observe.
+// WithoutDeltaRebuild disables the incremental reduction rebuild (the
+// full-rebuild baseline E15b measures against). Concurrent readers keep
+// whatever pair they already resolved; the swap only changes what later
+// Current calls observe.
 func (v *VersionedEvaluator) Update(mutate func(*wireless.Network) error) (UpdateResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -148,16 +134,7 @@ func (v *VersionedEvaluator) Update(mutate func(*wireless.Network) error) (Updat
 		return res, nil
 	}
 	cur := v.cur.Load()
-	res.OldNet = cur.Ev.Network()
-	res.NewNet = work
 	start := time.Now() //lint:wallclock rebuild-duration telemetry (UpdateResult.Rebuild feeds /statsz histograms); never reaches response bytes
-	if !cur.Ev.noDelta && v.live.StateEqual(work) {
-		res.Unchanged, res.Incremental = true, true
-		res.Rebuild = time.Since(start) //lint:wallclock rebuild-duration telemetry; never reaches response bytes
-		v.live = work
-		v.cur.Store(&Versioned{Ev: cur.Ev, Version: res.NewVersion})
-		return res, nil
-	}
 	next := NewEvaluator(work, v.opts...)
 	if prev := cur.Ev.builtReduction(); prev != nil {
 		if !cur.Ev.noDelta && !res.Delta.AllRowsDirty() && !res.Delta.NodeSetChanged {

@@ -133,63 +133,10 @@ func TestVersionedCallerCannotMutateThroughInput(t *testing.T) {
 	}
 }
 
-// TestVersionedUnchangedFastPath: an op sequence that cancels out
-// bitwise (disable + enable) republishes the *same* evaluator object
-// under the new version — zero mechanism rebuilds, Unchanged set.
-func TestVersionedUnchangedFastPath(t *testing.T) {
-	v := NewVersioned(symNet(8, 5))
-	oldEv := v.Evaluator()
-	res, err := v.Update(func(nw *wireless.Network) error {
-		if _, err := nw.SetStationEnabled(3, false); err != nil {
-			return err
-		}
-		_, err := nw.SetStationEnabled(3, true)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Unchanged || !res.Incremental || res.RebuiltMechs != 0 {
-		t.Fatalf("round trip not detected as unchanged: %+v", res)
-	}
-	if res.NewVersion != res.OldVersion+2 {
-		t.Fatalf("version transition %d -> %d, want +2", res.OldVersion, res.NewVersion)
-	}
-	if v.Evaluator() != oldEv {
-		t.Fatal("unchanged update swapped in a new evaluator")
-	}
-	if v.Version() != res.NewVersion {
-		t.Fatalf("published version %d, want %d", v.Version(), res.NewVersion)
-	}
-}
-
-// TestVersionedUnchangedFastPathDisabled: WithoutDeltaRebuild must not
-// take the fast path even when the states compare equal.
-func TestVersionedUnchangedFastPathDisabled(t *testing.T) {
-	v := NewVersioned(symNet(8, 5), WithoutDeltaRebuild())
-	oldEv := v.Evaluator()
-	res, err := v.Update(func(nw *wireless.Network) error {
-		if _, err := nw.SetStationEnabled(3, false); err != nil {
-			return err
-		}
-		_, err := nw.SetStationEnabled(3, true)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Unchanged || res.Incremental {
-		t.Fatalf("baseline evaluator took a reuse path: %+v", res)
-	}
-	if v.Evaluator() == oldEv {
-		t.Fatal("baseline update did not swap the evaluator")
-	}
-}
-
 // TestVersionedIncrementalReductionSeed: after a single-row SetCost on
 // an evaluator that built the MEMT→NWST reduction, the update must
-// seed the replacement incrementally (Incremental, no Unchanged) and
-// still answer byte-identically to a cold evaluator.
+// seed the replacement incrementally (Incremental) and still answer
+// byte-identically to a cold evaluator.
 func TestVersionedIncrementalReductionSeed(t *testing.T) {
 	v := NewVersioned(symNet(9, 7))
 	u := mech.RandomProfile(rand.New(rand.NewSource(11)), 9, 50)
@@ -204,7 +151,7 @@ func TestVersionedIncrementalReductionSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Incremental || res.Unchanged {
+	if !res.Incremental {
 		t.Fatalf("single-row SetCost did not take the incremental path: %+v", res)
 	}
 	if res.RebuiltMechs != 1 {

@@ -133,30 +133,6 @@ func (c *Cache) Put(key string, val []byte) {
 	}
 }
 
-// entriesWithPrefix returns up to limit entries whose keys start with
-// prefix, walking each shard's recency list front-to-back so the
-// hottest entries surface first — the bounded scan behind the update
-// handler's carry-forward pass. It reads under the shard locks and
-// touches neither the hit/miss counters nor recency: this is
-// bookkeeping, not a client access.
-func (c *Cache) entriesWithPrefix(prefix string, limit int) []cacheEntry {
-	var out []cacheEntry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.ll.Front(); el != nil && len(out) < limit; el = el.Next() {
-			if e := el.Value.(*cacheEntry); strings.HasPrefix(e.key, prefix) {
-				out = append(out, *e)
-			}
-		}
-		s.mu.Unlock()
-		if len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
 // Delete drops one key, reporting whether it was present. A flight
 // leader uses it to un-cache a result it stored for an entry that was
 // evicted or updated mid-evaluation (see Server.compute).

@@ -14,18 +14,17 @@ import (
 	"wmcs/internal/query"
 )
 
-// TestConcurrentPatchCarryHammer is the -race hammer for the
-// carry-forward pass: a writer drives a PATCH stream that exercises
-// every reuse path — disable+enable round trips (the Unchanged
-// carry-all), MoveStation deltas that make the alpha1-shapley
-// predicate carry out-of-support entries, and moves that force
-// recomputation — while readers hit /v1/evaluate and /v1/batch
-// concurrently at evaluation widths 8 and 16. Every version-labeled
-// response must be byte-identical to a cold evaluation at exactly that
-// version (a stale carried entry or torn {evaluator, version} pair
+// TestConcurrentPatchHammer is the -race hammer for PATCH swaps: a
+// writer drives a PATCH stream of disable+enable round trips (ops that
+// cancel out but still retire the version) and moves of one station
+// away and back, outside one alpha1-shapley probe's support and inside
+// another's, while readers hit /v1/evaluate and /v1/batch concurrently
+// at evaluation widths 8 and 16. Every version-labeled response must be
+// byte-identical to a cold evaluation at exactly that version (an entry
+// served across a version boundary or a torn {evaluator, version} pair
 // surfaces as a mismatch), and every batch element must match some
 // committed version's bytes.
-func TestConcurrentPatchCarryHammer(t *testing.T) {
+func TestConcurrentPatchHammer(t *testing.T) {
 	for _, workers := range []int{8, 16} {
 		t.Run(fmt.Sprintf("width%d", workers), func(t *testing.T) {
 			hammerOnce(t, workers)
@@ -169,7 +168,7 @@ func hammerOnce(t *testing.T, workers int) {
 					return
 				}
 				if !bytes.Equal(w.Body.Bytes(), want) {
-					t.Errorf("reader %d: probe %d bytes differ from version %s's state (stale carry?)\nserved: %s\nwant:   %s",
+					t.Errorf("reader %d: probe %d bytes differ from version %s's state (stale entry?)\nserved: %s\nwant:   %s",
 						r, pi, ver, w.Body.String(), want)
 					return
 				}

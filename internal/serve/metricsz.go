@@ -28,7 +28,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.Counter("wmcs_evaluations_total", "Cache misses evaluated on a compute slot.", st.BatchedQueries)
 	p.Counter("wmcs_updates_total", "Applied network deltas (version bumps).", st.Updates)
 	p.Counter("wmcs_update_ops_total", "Mutation ops carried by applied deltas.", st.UpdateOps)
-	p.Counter("wmcs_carried_entries_total", "Cache entries carried forward across version bumps.", st.CarriedEntries)
 	p.Counter("wmcs_delta_rebuilt_mechs_total", "Mechanisms warmed by incremental delta rebuilds.", st.DeltaRebuiltMechs)
 
 	p.Counter("wmcs_cache_hits_total", "Result cache hits.", st.Cache.Hits)

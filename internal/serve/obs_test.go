@@ -278,7 +278,7 @@ func TestDebugzSlowRing(t *testing.T) {
 	for _, sp := range update.Spans {
 		seen[sp.Stage] = true
 	}
-	for _, want := range []string{"admission", "rebuild", "carry_forward", "purge"} {
+	for _, want := range []string{"admission", "rebuild", "purge"} {
 		if !seen[want] {
 			t.Fatalf("update trace missing stage %q: %+v", want, update.Spans)
 		}

@@ -215,12 +215,10 @@ type statszPayload struct {
 	UpdateOps uint64         `json:"update_ops"`
 	RebuildUS LatencySummary `json:"rebuild_us"`
 	// RebuildIncrementalUS/RebuildFullUS split RebuildUS by rebuild
-	// path; their counts sum to RebuildUS.Count. CarriedEntries and
-	// DeltaRebuiltMechs are the cumulative carry-forward and
-	// delta-rebuild counters (see carry.go and query.UpdateResult).
+	// path; their counts sum to RebuildUS.Count. DeltaRebuiltMechs is
+	// the cumulative delta-rebuild counter (see query.UpdateResult).
 	RebuildIncrementalUS LatencySummary            `json:"rebuild_incremental_us"`
 	RebuildFullUS        LatencySummary            `json:"rebuild_full_us"`
-	CarriedEntries       uint64                    `json:"carried_entries"`
 	DeltaRebuiltMechs    uint64                    `json:"delta_rebuilt_mechs"`
 	Generations          map[string]string         `json:"generations"`
 	Cache                CacheStats                `json:"cache"`
@@ -274,7 +272,6 @@ func (s *Server) readStats() statszPayload {
 		ParallelEval:      cap(s.slots),
 		Updates:           st.Updates.Load(),
 		UpdateOps:         st.UpdateOps.Load(),
-		CarriedEntries:    st.CarriedEntries.Load(),
 		DeltaRebuiltMechs: st.DeltaRebuiltMechs.Load(),
 		Generations:       make(map[string]string),
 		Cache:             s.cache.Stats(),
@@ -439,14 +436,10 @@ type updateResponse struct {
 	Ops        int    `json:"ops"`
 	// RebuildUS is the evaluator rebuild+warm wall clock the swap paid.
 	RebuildUS float64 `json:"rebuild_us"`
-	// Incremental reports that the swap reused substrate via the delta
-	// path (the op sequence canceled out bitwise, or the MEMT→NWST
-	// reduction was rebuilt incrementally) instead of a full rebuild.
+	// Incremental reports that the swap seeded the new evaluator with
+	// an incremental rebuild of the MEMT→NWST reduction instead of a
+	// full rebuild.
 	Incremental bool `json:"incremental"`
-	// CarriedEntries counts cache entries re-keyed from the retired
-	// version to this one because the delta proved their bytes
-	// unchanged (see carry.go).
-	CarriedEntries int `json:"carried_entries"`
 	// CacheEntriesDropped counts the retired version's purged cache
 	// entries — space reclamation only; correctness never depends on
 	// the purge (retired keys are unreachable by construction).
@@ -516,12 +509,6 @@ func (s *Server) handleUpdateNetwork(w http.ResponseWriter, r *http.Request) {
 	if res.Incremental {
 		s.stats.DeltaRebuiltMechs.Add(uint64(res.RebuiltMechs))
 	}
-	// Carry provably-unchanged hot entries to the new version before the
-	// purge below retires their old keys (see carry.go).
-	carryStart := time.Now()
-	carried := s.carryForward(entry, res)
-	tr.RecordSince(obs.StageCarryForward, carryStart)
-	s.stats.CarriedEntries.Add(uint64(carried))
 	// Reclaim the retired version's cache space. Correctness does not
 	// wait for this: new requests already form newVer keys, and a
 	// racing old-version Put self-deletes (see compute).
@@ -536,7 +523,6 @@ func (s *Server) handleUpdateNetwork(w http.ResponseWriter, r *http.Request) {
 		Ops:                 res.Delta.Ops,
 		RebuildUS:           float64(res.Rebuild.Nanoseconds()) / 1e3,
 		Incremental:         res.Incremental,
-		CarriedEntries:      carried,
 		CacheEntriesDropped: dropped,
 	})
 }

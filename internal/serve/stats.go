@@ -41,11 +41,8 @@ type Stats struct {
 	// rebuild, so their counts sum to Updates.
 	Updates   atomic.Uint64
 	UpdateOps atomic.Uint64
-	// CarriedEntries counts cache entries the carry-forward pass
-	// re-keyed from a retired version to its successor (served bytes
-	// proven identical); DeltaRebuiltMechs the mechanisms warmed on
-	// updates that reused substrate incrementally.
-	CarriedEntries    atomic.Uint64
+	// DeltaRebuiltMechs counts the mechanisms warmed on updates that
+	// rebuilt the reduction incrementally.
 	DeltaRebuiltMechs atomic.Uint64
 
 	rebuildInc  latHist

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wmcs/internal/instances"
+	"wmcs/internal/mechreg"
 	"wmcs/internal/query"
 	"wmcs/internal/wireless"
 )
@@ -235,6 +236,140 @@ func TestPatchObservability(t *testing.T) {
 	reg, regAfter := genBefore[:len(genBefore)-2], genAfter[:len(genAfter)-2]
 	if reg != regAfter {
 		t.Fatalf("registration half changed (%s -> %s): update forced a re-register", genBefore, genAfter)
+	}
+}
+
+// patch sends one PATCH and decodes the success body.
+func patch(t *testing.T, s *Server, name string, up instances.Update) updateResponse {
+	t.Helper()
+	w := do(t, s, "PATCH", "/v1/networks/"+name, up)
+	if w.Code != http.StatusOK {
+		t.Fatalf("PATCH %s: %d %s", name, w.Code, w.Body.String())
+	}
+	var ur updateResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &ur); err != nil {
+		t.Fatal(err)
+	}
+	return ur
+}
+
+// TestPatchNoOpRetiresNothing: a PATCH whose every op is a true no-op
+// (same-value SetCost) answers 200 with zero ops, bumps nothing, and
+// leaves the cached entries hot — the next request is a hit at the
+// same version.
+func TestPatchNoOpRetiresNothing(t *testing.T) {
+	sp := instances.Spec{Name: "noop", Scenario: "symmetric", N: 8, Seed: 41}
+	reg := NewRegistry()
+	if err := reg.RegisterSpec(sp); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(reg, Options{})
+	defer s.Close()
+	entry, _ := reg.Get("noop")
+	req := EvalRequest{Network: "noop", Mech: "universal-shapley", Profile: profileFor(8, 0, 5)}
+	warm := do(t, s, "POST", "/v1/evaluate", req)
+	if warm.Code != http.StatusOK {
+		t.Fatalf("warm: %d %s", warm.Code, warm.Body.String())
+	}
+	before := statszFor(t, s)
+	ur := patch(t, s, "noop", instances.Update{SetCosts: []instances.CostSet{
+		{I: 1, J: 2, Cost: entry.Net.C(1, 2)},
+	}})
+	if ur.Ops != 0 || ur.Version != ur.OldVersion || ur.CacheEntriesDropped != 0 {
+		t.Fatalf("no-op PATCH response: %+v", ur)
+	}
+	if v := entry.Ev.Version(); v != 0 {
+		t.Fatalf("no-op PATCH advanced the version to %d", v)
+	}
+	after := statszFor(t, s)
+	if after.Updates != before.Updates || after.RebuildUS.Count != before.RebuildUS.Count {
+		t.Fatalf("no-op PATCH counted as an update: %+v -> %+v", before, after)
+	}
+	if w := do(t, s, "POST", "/v1/evaluate", req); w.Header().Get("X-Wmcs-Cache") != "hit" ||
+		!bytes.Equal(w.Body.Bytes(), warm.Body.Bytes()) {
+		t.Fatal("no-op PATCH retired the cached entry")
+	}
+}
+
+// TestPatchRecomputesEveryRetiredEntry: every PATCH that bumps the
+// version retires every entry of the old version, even one whose bytes
+// the update cannot change. On an α = 1 network an alpha1-shapley
+// answer reads only the source's distance row, so moving a station
+// outside the query's support leaves it byte-identical; it is
+// recomputed all the same, on a miss, and equals a cold evaluation on a
+// replica with the same move. A disable+enable round trip, whose ops
+// cancel out, retires the version the same way. The PATCHes themselves
+// read no cache entry: hits and misses do not move across them.
+func TestPatchRecomputesEveryRetiredEntry(t *testing.T) {
+	sp := instances.Spec{Name: "a1", Scenario: "uniform", N: 9, Alpha: 1, Seed: 47}
+	reg := NewRegistry()
+	if err := reg.RegisterSpec(sp); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(reg, Options{})
+	defer s.Close()
+	entry, _ := reg.Get("a1")
+	const moved = 4
+	outside := profileFor(9, entry.Net.Source(), 9)
+	outside[moved] = 0
+	req := EvalRequest{Network: "a1", Mech: mechreg.Alpha1Shapley, Profile: outside}
+	warm := do(t, s, "POST", "/v1/evaluate", req)
+	if warm.Code != http.StatusOK {
+		t.Fatalf("warm: %d %s", warm.Code, warm.Body.String())
+	}
+
+	p := entry.Net.Points()[moved].Clone()
+	p[0] += 0.35
+	move := instances.Update{Moves: []instances.MoveOp{{Station: moved, Point: p}}}
+	replica, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := move.Apply(replica); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Canonicalize(req, 9, replica.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := query.NewEvaluator(replica).Mechanism(mechreg.Alpha1Shapley)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeOutcome("a1", mechreg.Alpha1Shapley, m.Run(c.Profile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, step := range []struct {
+		name string
+		up   instances.Update
+		ops  int
+	}{
+		{"move outside the support", move, 1},
+		{"disable+enable round trip", instances.Update{Disable: []int{3}, Enable: []int{3}}, 2},
+	} {
+		before := statszFor(t, s)
+		ur := patch(t, s, "a1", step.up)
+		if ur.Ops != step.ops || ur.Version != ur.OldVersion+uint64(step.ops) || ur.Incremental || ur.CacheEntriesDropped != 1 {
+			t.Fatalf("%s: PATCH response %+v", step.name, ur)
+		}
+		after := statszFor(t, s)
+		if after.Cache.Hits != before.Cache.Hits || after.Cache.Misses != before.Cache.Misses {
+			t.Fatalf("%s: PATCH moved the cache counters: hits %d -> %d, misses %d -> %d",
+				step.name, before.Cache.Hits, after.Cache.Hits, before.Cache.Misses, after.Cache.Misses)
+		}
+		w := do(t, s, "POST", "/v1/evaluate", req)
+		if src := w.Header().Get("X-Wmcs-Cache"); src != "miss" {
+			t.Fatalf("%s: retired entry served as %q, want miss", step.name, src)
+		}
+		if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("%s: recomputed bytes differ from a cold evaluation on the moved network\nserved: %s\ncold:   %s",
+				step.name, w.Body.String(), want)
+		}
+	}
+	if !bytes.Equal(want, warm.Body.Bytes()) {
+		t.Fatalf("moving a station outside the support changed the alpha1-shapley bytes\nwarm: %s\ncold: %s", warm.Body.String(), want)
 	}
 }
 

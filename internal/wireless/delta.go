@@ -1,39 +1,28 @@
 package wireless
 
 // Delta is the typed change record of a mutation-op sequence: which cost
-// rows may differ from the pre-mutation state, which stations an op
-// named directly, and whether the enabled node set changed. Consumers
-// (the versioned evaluator's incremental rebuild and the serving layer's
-// cache carry-forward, DESIGN.md §12) treat it as a sound
-// over-approximation — an entry a Delta marks clean is *guaranteed*
-// byte-unchanged; an entry it marks dirty merely may have changed.
+// rows may differ from the pre-mutation state and whether the enabled
+// node set changed. Its consumer, the versioned evaluator's incremental
+// reduction rebuild (DESIGN.md §12), treats it as a sound
+// over-approximation — a row a Delta marks clean is *guaranteed*
+// byte-unchanged; a row it marks dirty merely may have changed.
 //
-// The contract has two layers, both preserved under Merge:
+// The row contract is preserved under Merge: cost entry c(a, b) may
+// differ only if DirtyRows[a] && DirtyRows[b] — the entry lies in both
+// rows, so either row being provably clean pins it.
 //
-//   - row layer: cost entry c(a, b) may differ only if
-//     DirtyRows[a] && DirtyRows[b] — the entry lies in both rows, so
-//     either row being provably clean pins it;
-//   - station layer: c(a, b) may additionally differ only if
-//     Touched[a] || Touched[b] — every op changes only entries incident
-//     to a station it names. This is what keeps a MoveStation delta
-//     useful: all rows are dirty (column i changes in every row), but
-//     only pairs incident to the moved station i can differ.
-//
-// Per op: SetCost(i, j) dirties rows {i, j} and touches {i, j} (the
-// entry-exact case); MoveStation(i) and SetStationEnabled(i) dirty every
-// row and touch {i}; SetStationEnabled additionally sets NodeSetChanged.
-// A no-op (SetCost writing the present value, MoveStation to the current
-// point) contributes an empty Delta and bumps nothing.
+// Per op: SetCost(i, j) dirties rows {i, j}; MoveStation(i) and
+// SetStationEnabled(i) dirty every row (column i changes in each);
+// SetStationEnabled additionally sets NodeSetChanged. A no-op (SetCost
+// writing the present value, MoveStation to the current point)
+// contributes an empty Delta and bumps nothing.
 type Delta struct {
-	// N is the station count the flag slices are indexed by (0 for an
-	// empty delta).
+	// N is the station count DirtyRows is indexed by (0 for an empty
+	// delta).
 	N int
 	// DirtyRows[r] reports that cost row r may differ. nil means no row
 	// is dirty.
 	DirtyRows []bool
-	// Touched[s] reports that an op named station s directly. nil means
-	// no station was touched.
-	Touched []bool
 	// NodeSetChanged reports that a station was enabled or disabled.
 	NodeSetChanged bool
 	// Ops counts the non-no-op mutations merged in — exactly the version
@@ -43,11 +32,6 @@ type Delta struct {
 
 // Empty reports whether the delta records no effective mutation.
 func (d Delta) Empty() bool { return d.Ops == 0 }
-
-// RowDirty reports whether cost row r may differ.
-func (d Delta) RowDirty(r int) bool {
-	return d.DirtyRows != nil && r >= 0 && r < len(d.DirtyRows) && d.DirtyRows[r]
-}
 
 // DirtyRowCount returns the number of dirty rows.
 func (d Delta) DirtyRowCount() int {
@@ -64,28 +48,6 @@ func (d Delta) DirtyRowCount() int {
 // reuse).
 func (d Delta) AllRowsDirty() bool {
 	return d.N > 0 && d.DirtyRowCount() == d.N
-}
-
-// PairDirty reports whether entry c(a, b) may differ under both contract
-// layers. A false return is a guarantee of byte-identity.
-func (d Delta) PairDirty(a, b int) bool {
-	if !d.RowDirty(a) || !d.RowDirty(b) {
-		return false
-	}
-	ta := d.Touched != nil && a < len(d.Touched) && d.Touched[a]
-	tb := d.Touched != nil && b < len(d.Touched) && d.Touched[b]
-	return ta || tb
-}
-
-// TouchedStations returns the touched stations in increasing order.
-func (d Delta) TouchedStations() []int {
-	var out []int
-	for s, t := range d.Touched {
-		if t {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Merge accumulates another delta into d. Unions are sound: an entry
@@ -108,35 +70,22 @@ func (d *Delta) Merge(o Delta) {
 			}
 		}
 	}
-	if o.Touched != nil {
-		if d.Touched == nil {
-			d.Touched = make([]bool, d.N)
-		}
-		for s, t := range o.Touched {
-			if t {
-				d.Touched[s] = true
-			}
-		}
-	}
 	d.NodeSetChanged = d.NodeSetChanged || o.NodeSetChanged
 	d.Ops += o.Ops
 }
 
-// rowsDelta builds a single-op delta touching the given stations; when
-// allRows is set every row is marked dirty (column writes reach every
-// row), otherwise only the touched stations' rows are.
-func (nw *Network) rowsDelta(touched []int, allRows, nodeSet bool) Delta {
+// rowsDelta builds a single-op delta dirtying the given rows, or every
+// row when rows is nil (a column write reaches every row).
+func (nw *Network) rowsDelta(rows []int, nodeSet bool) Delta {
 	n := nw.N()
-	d := Delta{N: n, NodeSetChanged: nodeSet, Ops: 1,
-		DirtyRows: make([]bool, n), Touched: make([]bool, n)}
-	for _, s := range touched {
-		d.Touched[s] = true
-		d.DirtyRows[s] = true
-	}
-	if allRows {
+	d := Delta{N: n, NodeSetChanged: nodeSet, Ops: 1, DirtyRows: make([]bool, n)}
+	if rows == nil {
 		for r := range d.DirtyRows {
 			d.DirtyRows[r] = true
 		}
+	}
+	for _, r := range rows {
+		d.DirtyRows[r] = true
 	}
 	return d
 }

@@ -42,27 +42,17 @@ func TestMoveStationSamePointIsNoOp(t *testing.T) {
 	}
 }
 
-// TestDeltaShapePerOp pins each op's declared flags: SetCost is
-// entry-exact (rows and touched = {i, j}); MoveStation dirties every
-// row but touches only the moved station; SetStationEnabled adds
-// NodeSetChanged.
+// TestDeltaShapePerOp pins each op's declared flags: SetCost dirties
+// rows {i, j}; MoveStation dirties every row; SetStationEnabled dirties
+// every row and adds NodeSetChanged.
 func TestDeltaShapePerOp(t *testing.T) {
 	nw := testSymmetric(5)
 	d, err := nw.SetCost(1, 3, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Ops != 1 || d.NodeSetChanged || d.DirtyRowCount() != 2 || !d.RowDirty(1) || !d.RowDirty(3) {
+	if d.Ops != 1 || d.NodeSetChanged || d.DirtyRowCount() != 2 || !d.DirtyRows[1] || !d.DirtyRows[3] {
 		t.Fatalf("SetCost delta: %+v", d)
-	}
-	if got := d.TouchedStations(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("SetCost touched %v, want [1 3]", got)
-	}
-	// Pair dirtiness under both layers: (1,3) is suspect, (1,2) is
-	// suspect only via row 1 — but row 2 is clean, so the entry is
-	// pinned; (0,2) is clean on both layers.
-	if !d.PairDirty(1, 3) || d.PairDirty(1, 2) || d.PairDirty(0, 2) {
-		t.Fatalf("SetCost pair flags wrong: %+v", d)
 	}
 
 	ew := testEuclidean(5, 2)
@@ -74,14 +64,6 @@ func TestDeltaShapePerOp(t *testing.T) {
 	}
 	if !d.AllRowsDirty() || d.NodeSetChanged {
 		t.Fatalf("MoveStation delta: %+v", d)
-	}
-	if got := d.TouchedStations(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("MoveStation touched %v, want [2]", got)
-	}
-	// Every row is dirty, but only pairs incident to station 2 may
-	// differ (the station layer).
-	if !d.PairDirty(2, 4) || d.PairDirty(0, 1) || d.PairDirty(3, 4) {
-		t.Fatalf("MoveStation pair flags wrong: %+v", d)
 	}
 
 	d, err = ew.SetStationEnabled(3, false)
@@ -113,52 +95,14 @@ func TestTakeDeltaAccumulatesAndResets(t *testing.T) {
 		t.Fatalf("accumulated delta: %+v", d)
 	}
 	for _, r := range []int{0, 1, 2, 3} {
-		if !d.RowDirty(r) {
+		if !d.DirtyRows[r] {
 			t.Fatalf("row %d not dirty in %+v", r, d)
 		}
 	}
-	if d.RowDirty(4) || d.RowDirty(5) {
+	if d.DirtyRows[4] || d.DirtyRows[5] {
 		t.Fatalf("clean rows marked dirty: %+v", d)
 	}
 	if got := nw.TakeDelta(); !got.Empty() {
 		t.Fatalf("TakeDelta did not reset the accumulator: %+v", got)
-	}
-}
-
-// TestStateEqual pins the bitwise evaluation-state comparison: version
-// and pending bookkeeping are ignored, costs/points/enabled state are
-// not — so an op sequence that cancels out compares equal and anything
-// else does not.
-func TestStateEqual(t *testing.T) {
-	nw := testEuclidean(5, 2)
-	snap := nw.Snapshot()
-	if !nw.StateEqual(snap) {
-		t.Fatal("snapshot not StateEqual to its source")
-	}
-	// A disable+enable round trip restores the state bitwise (savedRows
-	// puts the exact cost bytes back) while bumping the version twice.
-	if _, err := snap.SetStationEnabled(2, false); err != nil {
-		t.Fatal(err)
-	}
-	if nw.StateEqual(snap) {
-		t.Fatal("disabled station compares StateEqual")
-	}
-	if _, err := snap.SetStationEnabled(2, true); err != nil {
-		t.Fatal(err)
-	}
-	if !nw.StateEqual(snap) {
-		t.Fatal("disable+enable round trip not StateEqual")
-	}
-	if snap.Version() == nw.Version() {
-		t.Fatal("round trip did not bump the version")
-	}
-	// A real mutation breaks equality.
-	p := snap.Points()[1].Clone()
-	p[0] += 1
-	if _, err := snap.MoveStation(1, p); err != nil {
-		t.Fatal(err)
-	}
-	if nw.StateEqual(snap) {
-		t.Fatal("moved station compares StateEqual")
 	}
 }

@@ -71,51 +71,6 @@ func (nw *Network) Snapshot() *Network {
 	return c
 }
 
-// StateEqual reports whether two networks are in bitwise-identical
-// evaluation state: same station count, source, class, coordinates,
-// cost entries (exact float equality) and disabled-station bookkeeping.
-// Version and pending delta are deliberately ignored — the point of the
-// comparison is the versioned evaluator's fast path for update closures
-// whose ops cancel out (a disable+enable round trip), where the old
-// evaluator can be republished under the new version with zero rebuild.
-// The power model is not compared: mutation ops never change it, and
-// both operands of every call descend from the same snapshot chain.
-func (nw *Network) StateEqual(o *Network) bool {
-	n := nw.N()
-	if o.N() != n || o.source != nw.source || o.IsEuclidean() != nw.IsEuclidean() {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if nw.cost.At(i, j) != o.cost.At(i, j) {
-				return false
-			}
-		}
-	}
-	if nw.points != nil {
-		for i, p := range nw.points {
-			if !p.Equal(o.points[i]) {
-				return false
-			}
-		}
-	}
-	if len(nw.savedRows) != len(o.savedRows) {
-		return false
-	}
-	for i, row := range nw.savedRows {
-		orow := o.savedRows[i]
-		if orow == nil || len(orow) != len(row) {
-			return false
-		}
-		for j, w := range row {
-			if orow[j] != w {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // checkStation validates a station index for a mutation op.
 func (nw *Network) checkStation(op string, i int) error {
 	if i < 0 || i >= nw.N() {
@@ -167,16 +122,15 @@ func (nw *Network) SetCost(i, j int, w float64) (Delta, error) {
 		return Delta{}, nil
 	}
 	nw.cost.Set(i, j, w)
-	return nw.record(nw.rowsDelta([]int{i, j}, false, false)), nil
+	return nw.record(nw.rowsDelta([]int{i, j}, false)), nil
 }
 
 // MoveStation relocates station i to p and recomputes its cost row from
 // the power model, keeping the matrix coherent with the coordinates. It
 // applies to Euclidean networks only and requires p to match the
 // network's dimension (a move cannot change the class). The returned
-// Delta dirties every row (column i changes in each) but touches only
-// station i — the refinement the carry-forward predicates exploit.
-// Moving a station to its current coordinates is a true no-op: no
+// Delta dirties every row (column i changes in each). Moving a station
+// to its current coordinates is a true no-op: no
 // version bump, empty delta. A move that would put any cost of the row,
 // a disabled neighbor's saved one included, at or above DisabledCost is
 // rejected and changes nothing.
@@ -227,7 +181,7 @@ func (nw *Network) MoveStation(i int, p geom.Point) (Delta, error) {
 			nw.savedRows[j][i] = c
 		}
 	}
-	return nw.record(nw.rowsDelta([]int{i}, true, false)), nil
+	return nw.record(nw.rowsDelta(nil, false)), nil
 }
 
 // SetStationEnabled turns station i off (every incident cost becomes
@@ -260,7 +214,7 @@ func (nw *Network) SetStationEnabled(i int, enabled bool) (Delta, error) {
 			}
 		}
 		delete(nw.savedRows, i)
-		return nw.record(nw.rowsDelta([]int{i}, true, true)), nil
+		return nw.record(nw.rowsDelta(nil, true)), nil
 	}
 	if i == nw.source {
 		return Delta{}, fmt.Errorf("wireless: SetStationEnabled: cannot disable the source station %d", i)
@@ -289,5 +243,5 @@ func (nw *Network) SetStationEnabled(i int, enabled bool) (Delta, error) {
 		nw.savedRows = make(map[int][]float64)
 	}
 	nw.savedRows[i] = row
-	return nw.record(nw.rowsDelta([]int{i}, true, true)), nil
+	return nw.record(nw.rowsDelta(nil, true)), nil
 }
