@@ -97,20 +97,22 @@ func (g *AirportGame) ShapleyMechanism() mech.Mechanism {
 // MCMechanism returns the efficient strategyproof MC mechanism for α = 1:
 // the largest efficient set is one of the ≤ n distance prefixes
 // (Theorem 3.2's argument).
-func (g *AirportGame) MCMechanism() mech.Mechanism { return &airportMC{g: g} }
+func (g *AirportGame) MCMechanism() mech.Mechanism {
+	return &sharing.MarginalCost{
+		MechName:  "airport-mc", // package-internal default; mechreg assigns the public name
+		AgentSet:  g.Net.AllReceivers(),
+		Efficient: g.bestPrefix,
+		Cost:      g.Cost,
+	}
+}
 
-type airportMC struct{ g *AirportGame }
-
-func (m *airportMC) Name() string  { return "airport-mc" } // package-internal default
-func (m *airportMC) Agents() []int { return m.g.Net.AllReceivers() }
-
-// netWorthPrefix returns the maximum net worth and the largest efficient
-// set, enumerating distance prefixes.
-func (m *airportMC) bestPrefix(u mech.Profile) ([]int, float64) {
-	s := m.g.Net.Source()
-	agents := m.g.Net.AllReceivers()
+// bestPrefix returns the largest efficient set and its net worth,
+// enumerating distance prefixes.
+func (g *AirportGame) bestPrefix(u mech.Profile) ([]int, float64) {
+	s := g.Net.Source()
+	agents := g.Net.AllReceivers()
 	sort.Slice(agents, func(a, b int) bool {
-		ca, cb := m.g.Net.C(s, agents[a]), m.g.Net.C(s, agents[b])
+		ca, cb := g.Net.C(s, agents[a]), g.Net.C(s, agents[b])
 		if ca != cb {
 			return ca < cb
 		}
@@ -120,9 +122,9 @@ func (m *airportMC) bestPrefix(u mech.Profile) ([]int, float64) {
 	acc := 0.0
 	for i, r := range agents {
 		acc += u[r]
-		nw := acc - m.g.Net.C(s, r)
+		nw := acc - g.Net.C(s, r)
 		// Prefix must extend through equal-distance ties for "largest".
-		if i+1 < len(agents) && m.g.Net.C(s, agents[i+1]) == m.g.Net.C(s, r) {
+		if i+1 < len(agents) && g.Net.C(s, agents[i+1]) == g.Net.C(s, r) {
 			continue
 		}
 		if nw >= bestNW {
@@ -132,22 +134,6 @@ func (m *airportMC) bestPrefix(u mech.Profile) ([]int, float64) {
 	R := append([]int(nil), agents[:bestLen]...)
 	sort.Ints(R)
 	return R, bestNW
-}
-
-func (m *airportMC) Run(u mech.Profile) mech.Outcome {
-	R, nw := m.bestPrefix(u)
-	shares := make(map[int]float64, len(R))
-	for _, i := range R {
-		v := u.Clone()
-		v[i] = 0
-		_, nwWithout := m.bestPrefix(v)
-		ci := u[i] - (nw - nwWithout)
-		if ci < 0 && ci > -1e-9 {
-			ci = 0
-		}
-		shares[i] = ci
-	}
-	return mech.Outcome{Receivers: R, Shares: shares, Cost: m.g.Cost(R)}
 }
 
 // ---------------------------------------------------------------------------
@@ -394,15 +380,18 @@ func (g *LineGame) ShapleyMechanism() mech.Mechanism {
 // MCMechanism returns the efficient strategyproof MC mechanism for d = 1:
 // the largest efficient set is determined by its first and last station
 // (Theorem 3.2), so ≤ n² candidates are enumerated.
-func (g *LineGame) MCMechanism() mech.Mechanism { return &lineMC{g: g} }
+func (g *LineGame) MCMechanism() mech.Mechanism {
+	return &sharing.MarginalCost{
+		MechName:  "interval-mc", // package-internal default; mechreg assigns the public name
+		AgentSet:  g.Net.AllReceivers(),
+		Efficient: g.bestInterval,
+		Cost:      g.Cost,
+	}
+}
 
-type lineMC struct{ g *LineGame }
-
-func (m *lineMC) Name() string  { return "interval-mc" } // package-internal default
-func (m *lineMC) Agents() []int { return m.g.Net.AllReceivers() }
-
-func (m *lineMC) bestInterval(u mech.Profile) ([]int, float64) {
-	g := m.g
+// bestInterval returns the largest efficient set and its net worth,
+// enumerating the intervals of coordinate ranks.
+func (g *LineGame) bestInterval(u mech.Profile) ([]int, float64) {
 	n := g.Net.N()
 	// utilByRank[r] = utility of the station at rank r (0 for the source).
 	utilByRank := make([]float64, n)
@@ -438,20 +427,4 @@ func (m *lineMC) bestInterval(u mech.Profile) ([]int, float64) {
 	}
 	sort.Ints(R)
 	return R, bestNW
-}
-
-func (m *lineMC) Run(u mech.Profile) mech.Outcome {
-	R, nw := m.bestInterval(u)
-	shares := make(map[int]float64, len(R))
-	for _, i := range R {
-		v := u.Clone()
-		v[i] = 0
-		_, nwWithout := m.bestInterval(v)
-		ci := u[i] - (nw - nwWithout)
-		if ci < 0 && ci > -1e-9 {
-			ci = 0
-		}
-		shares[i] = ci
-	}
-	return mech.Outcome{Receivers: R, Shares: shares, Cost: m.g.Cost(R)}
 }

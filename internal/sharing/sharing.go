@@ -240,6 +240,43 @@ func (m *MechanismFromMethod) Run(u mech.Profile) mech.Outcome {
 	}
 }
 
+// MarginalCost is the marginal-cost (VCG) mechanism over an
+// efficient-set oracle: it serves the largest efficient receiver set
+// and charges each receiver its Clarke pivot. It offers no sampled
+// tier.
+type MarginalCost struct {
+	MechName string
+	AgentSet []int
+	// Efficient returns the largest receiver set maximizing the net
+	// worth NW(R) = Σ_{i∈R} u_i − C(R), and that net worth.
+	Efficient func(u mech.Profile) ([]int, float64)
+	Cost      CostFunc
+}
+
+// Name implements mech.Mechanism.
+func (m *MarginalCost) Name() string { return m.MechName }
+
+// Agents implements mech.Mechanism.
+func (m *MarginalCost) Agents() []int { return m.AgentSet }
+
+// Run implements mech.Mechanism: receiver i pays its Clarke pivot
+// c_i = u_i − (NW(u) − NW(u_{−i})), where u_{−i} zeroes i's utility.
+func (m *MarginalCost) Run(u mech.Profile) mech.Outcome {
+	R, nw := m.Efficient(u)
+	shares := make(map[int]float64, len(R))
+	for _, i := range R {
+		v := u.Clone()
+		v[i] = 0
+		_, nwWithout := m.Efficient(v)
+		ci := u[i] - (nw - nwWithout)
+		if ci < 0 && ci > -1e-9 {
+			ci = 0 // numerical noise only; MC is NPT in theory
+		}
+		shares[i] = ci
+	}
+	return mech.Outcome{Receivers: R, Shares: shares, Cost: m.Cost(R)}
+}
+
 // RunApprox implements mech.ApproxRunner: the same M(ξ) iteration with ξ
 // replaced by the sampled-permutation Shapley estimator over the same
 // cost oracle, plus the Hoeffding certificate of the final round's

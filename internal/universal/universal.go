@@ -218,36 +218,17 @@ func ShapleyMechanism(ut *Tree) mech.Mechanism {
 	}
 }
 
-// mcMechanism is the §2.1 marginal-cost (VCG) mechanism: select the
-// largest efficient receiver set and charge Clarke pivots.
-type mcMechanism struct {
-	ut *Tree
-}
-
-// MCMechanism returns the efficient strategyproof MC mechanism on the
-// universal tree.
-func MCMechanism(ut *Tree) mech.Mechanism { return &mcMechanism{ut: ut} }
-
-// Name is the package-internal default; the registry (internal/mechreg)
-// assigns the public universal-mc name to registry-built instances.
-func (m *mcMechanism) Name() string  { return "tree-mc" }
-func (m *mcMechanism) Agents() []int { return m.ut.Net.AllReceivers() }
-
-func (m *mcMechanism) Run(u mech.Profile) mech.Outcome {
-	R, nw := m.ut.LargestEfficientSet(u)
-	shares := make(map[int]float64, len(R))
-	for _, i := range R {
-		v := u.Clone()
-		v[i] = 0
-		_, nwWithout := m.ut.LargestEfficientSet(v)
-		// Clarke pivot: c_i = u_i − (NW(u) − NW(u_{-i})).
-		ci := u[i] - (nw - nwWithout)
-		if ci < 0 && ci > -1e-9 {
-			ci = 0 // numerical noise only; MC is NPT in theory
-		}
-		shares[i] = ci
+// MCMechanism returns the §2.1 efficient strategyproof marginal-cost
+// (VCG) mechanism on the universal tree: the largest efficient receiver
+// set, charged Clarke pivots. The name is a package-internal default;
+// the registry (internal/mechreg) assigns the public universal-mc name.
+func MCMechanism(ut *Tree) mech.Mechanism {
+	return &sharing.MarginalCost{
+		MechName:  "tree-mc",
+		AgentSet:  ut.Net.AllReceivers(),
+		Efficient: ut.LargestEfficientSet,
+		Cost:      ut.Cost,
 	}
-	return mech.Outcome{Receivers: R, Shares: shares, Cost: m.ut.Cost(R)}
 }
 
 // LargestEfficientSet maximizes NW(R) = Σ_{i∈R} u_i − C(R) over receiver
