@@ -28,7 +28,9 @@ import (
 
 // churnDriver owns the updater's state. One per run.
 type churnDriver struct {
-	cfg      loadConfig
+	// cfg is the run's configuration; its baseURL may be filled in
+	// after construction, before run starts.
+	cfg      *loadConfig
 	updates  int
 	churners []instances.Churner
 	live     []*wireless.Network
@@ -45,7 +47,7 @@ type churnDriver struct {
 
 // newChurnDriver validates the model selection against every driven
 // network and starts each live replica at version 0.
-func newChurnDriver(cfg loadConfig, updates int, model string, seed int64) (*churnDriver, error) {
+func newChurnDriver(cfg *loadConfig, updates int, model string, seed int64) (*churnDriver, error) {
 	d := &churnDriver{
 		cfg:     cfg,
 		updates: updates,

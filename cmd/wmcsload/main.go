@@ -42,6 +42,13 @@
 //
 // The in-process server evaluates at -parallel-eval, GOMAXPROCS unless
 // set, as wmcsd does.
+//
+// Exit codes: 2 for bad input — a flag, the manifest, a spec that does
+// not build, a network supporting none of -mechs, a -churn-model that
+// does not apply — reported with a pointer to -h before the daemon is
+// contacted; 1 for a run that failed after that — an unreachable
+// daemon, a refused eviction or registration, a failed or malformed
+// /metricsz scrape, a failed query or a byte mismatch; 0 otherwise.
 package main
 
 import (
@@ -160,21 +167,15 @@ func main() {
 		}
 	}
 
-	if auto && *addr == "" {
-		fmt.Fprintf(os.Stderr, "wmcsload: in-process server at evaluation width %d (auto: GOMAXPROCS)\n", width)
-	}
-	baseURL, shutdown, err := connectOrBoot(*addr, width)
-	if err != nil {
+	// Client-side replicas of the networks. Spec.Build is deterministic,
+	// so they agree exactly with the version 0 the server hosts once
+	// ensureFreshNetworks has re-registered them. Samplers and
+	// canonicalization only read them. They, the re-pin domains and the
+	// churn models below are settled before the daemon is contacted, so
+	// a bad spec is bad input (exit 2) like a bad flag.
+	if err := distinctNames(specs); err != nil {
 		cliutil.Die("%v", err)
 	}
-	defer shutdown()
-	if err := ensureFreshNetworks(baseURL, specs); err != nil {
-		cliutil.Die("%v", err)
-	}
-
-	// Client-side replicas of the networks: Spec.Build is deterministic,
-	// so these agree exactly with the version 0 the server now hosts.
-	// Samplers and canonicalization only read them.
 	nets := make([]*wireless.Network, len(specs))
 	replicas := make([]map[uint64]*wireless.Network, len(specs))
 	for i, sp := range specs {
@@ -202,13 +203,7 @@ func main() {
 		}
 	}
 
-	before, err := scrapeMetrics(baseURL)
-	if err != nil {
-		cliutil.Die("%v", err)
-	}
-
 	cfg := loadConfig{
-		baseURL:  baseURL,
 		specs:    specs,
 		nets:     nets,
 		replicas: replicas,
@@ -226,10 +221,31 @@ func main() {
 	}
 	var churnDrv *churnDriver
 	if *churn {
-		if churnDrv, err = newChurnDriver(cfg, *updates, *churnMod, *seed); err != nil {
+		if churnDrv, err = newChurnDriver(&cfg, *updates, *churnMod, *seed); err != nil {
 			cliutil.Die("%v", err)
 		}
 		cfg.churn = churnDrv
+	}
+
+	// From here on the input is accepted: a failure is a failed run
+	// (exit 1), not a usage error.
+	if auto && *addr == "" {
+		fmt.Fprintf(os.Stderr, "wmcsload: in-process server at evaluation width %d (auto: GOMAXPROCS)\n", width)
+	}
+	baseURL, shutdown, err := connectOrBoot(*addr, width)
+	if err != nil {
+		fatal(err)
+	}
+	defer shutdown()
+	cfg.baseURL = baseURL
+	if err := ensureFreshNetworks(baseURL, specs); err != nil {
+		fatal(err)
+	}
+	before, err := scrapeMetrics(baseURL)
+	if err != nil {
+		fatal(err)
+	}
+	if churnDrv != nil {
 		go churnDrv.run()
 	}
 	run := runLoad(cfg)
@@ -245,7 +261,7 @@ func main() {
 
 	after, err := scrapeMetrics(baseURL)
 	if err != nil {
-		cliutil.Die("%v", err)
+		fatal(err)
 	}
 	run.mismatch(verify(cfg, run.firsts))
 
@@ -259,7 +275,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			cliutil.Die("%v", err)
+			fatal(err)
 		}
 	} else {
 		doc.table().Render(os.Stdout)
@@ -267,6 +283,14 @@ func main() {
 	if run.errors > 0 || run.mismatches > 0 {
 		os.Exit(1)
 	}
+}
+
+// fatal reports a run that failed after its input was accepted and
+// exits 1. Unlike cliutil.Die it prints no usage pointer: an
+// unreachable daemon is not a mistyped flag.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "wmcsload: %v\n", err)
+	os.Exit(1)
 }
 
 // connectOrBoot returns the base URL of the target daemon, booting an
@@ -298,19 +322,31 @@ func connectOrBoot(addr string, width int) (string, func(), error) {
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
-// ensureFreshNetworks re-registers every driven network — evict if
-// hosted, then register — so the run starts from version 0 of the exact
-// spec the client replicas are built from, whatever the daemon hosted
-// under that name before (an earlier churn run, a different spec). A
-// name listed twice is an error: its second registration would evict
-// the first, and the first spec's replica would no longer match.
-func ensureFreshNetworks(baseURL string, specs []instances.Spec) error {
+// distinctNames rejects a spec list that names one network twice: its
+// second registration would evict the first, and the first spec's
+// replica would no longer match what the server hosts.
+func distinctNames(specs []instances.Spec) error {
 	listed := map[string]bool{}
 	for _, sp := range specs {
 		if listed[sp.Name] {
 			return fmt.Errorf("network %q is listed twice", sp.Name)
 		}
 		listed[sp.Name] = true
+	}
+	return nil
+}
+
+// ensureFreshNetworks re-registers every driven network — evict if
+// hosted, then register — so the run starts from version 0 of the exact
+// spec the client replicas are built from, whatever the daemon hosted
+// under that name before (an earlier churn run, a different spec). It
+// refuses a spec list that fails distinctNames before touching the
+// daemon.
+func ensureFreshNetworks(baseURL string, specs []instances.Spec) error {
+	if err := distinctNames(specs); err != nil {
+		return err
+	}
+	for _, sp := range specs {
 		delReq, err := http.NewRequest(http.MethodDelete, baseURL+"/v1/networks/"+sp.Name, nil)
 		if err != nil {
 			return err

@@ -177,7 +177,7 @@ func TestChurnRunVerifies(t *testing.T) {
 		cfg.replicas = append(cfg.replicas, map[uint64]*wireless.Network{0: nw})
 		cfg.mechsFor = append(cfg.mechsFor, cfg.mechs)
 	}
-	d, err := newChurnDriver(cfg, 4, "auto", 1)
+	d, err := newChurnDriver(&cfg, 4, "auto", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
