@@ -1,9 +1,9 @@
 package graph
 
 // IndexHeap is an indexed d-ary (d = 4) min-heap over keys 0..n−1 with
-// float64 priorities, supporting DecreaseKey. It backs Dijkstra and
-// Prim. The wider node halves the sift depth, which measurably speeds
-// the decrease-key-heavy Dijkstra loops of the NWST oracles.
+// float64 priorities, supporting DecreaseKey. It backs the
+// edge-weighted Dijkstras and Prim. The wider node halves the sift
+// depth.
 //
 // The comparison order (priority, then key) is total, so the pop
 // sequence — and with it every byte of downstream output — is identical
@@ -28,37 +28,6 @@ func NewIndexHeap(n int) *IndexHeap {
 	}
 	return h
 }
-
-// Reset empties the heap without releasing its buffers, so a workspace can
-// reuse one heap across many Dijkstra/Prim runs with zero allocations.
-// Only the keys still present are touched, making Reset O(Len), not O(n).
-func (h *IndexHeap) Reset() {
-	for _, k := range h.heap {
-		h.pos[k] = -1
-	}
-	h.heap = h.heap[:0]
-}
-
-// Grow extends the key space to 0..n−1 in one reallocation, keeping
-// current contents. It is a no-op when the heap already holds n keys or
-// more.
-func (h *IndexHeap) Grow(n int) {
-	if len(h.pos) >= n {
-		return
-	}
-	pos := make([]int, n)
-	prio := make([]float64, n)
-	copy(pos, h.pos)
-	copy(prio, h.prio)
-	for i := len(h.pos); i < n; i++ {
-		pos[i] = -1
-	}
-	h.pos = pos
-	h.prio = prio
-}
-
-// Cap returns the size of the key space (the n of NewIndexHeap/Grow).
-func (h *IndexHeap) Cap() int { return len(h.pos) }
 
 // Len returns the number of keys currently in the heap.
 func (h *IndexHeap) Len() int { return len(h.heap) }

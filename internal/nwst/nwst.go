@@ -88,6 +88,11 @@ type State struct {
 	// terminals: cons[t] == consBase[t : t+1], so Reset re-points slices
 	// instead of reallocating them.
 	consBase []int
+	// seq is the contraction sequence since the last Reset: each Shrink
+	// appends its spider's Nodes, in order, and a −1 separator. The
+	// graph, the weights and the alive marks are a function of it
+	// (oracle.go).
+	seq []int
 	// sc is lane 0: the buffers of PathBetween, Shrink, winner assembly
 	// and every width-1 oracle scan.
 	sc scratch
@@ -99,8 +104,7 @@ type State struct {
 // lazily to the current (contracted) graph and carries no information
 // across uses, so which lane scans which slice never affects a byte.
 type scratch struct {
-	heap *graph.IndexHeap
-	done []bool
+	heap sweepHeap
 	// single-source node-distance buffers (Klein–Ravi scans,
 	// PathBetween).
 	dist []float64
@@ -115,6 +119,7 @@ type scratch struct {
 	legEnds []int
 	hubLegs []legItem
 	covered []bool
+	pairs   []int32
 	sorter  termDistSorter
 	// Shrink.
 	inSpider []bool
@@ -154,7 +159,6 @@ func NewState(in Instance) *State {
 	for i := range s.consBase {
 		s.consBase[i] = i
 	}
-	s.sc.heap = graph.NewIndexHeap(n)
 	for i := range s.alive {
 		s.alive[i] = true
 	}
@@ -175,13 +179,16 @@ func (s *State) setTerminals(terminals []int, free []bool) {
 	}
 }
 
-// Reset rewinds every contraction and DropTerminal and installs a new
-// terminal set, reusing all buffers: after Reset the state behaves
-// exactly like NewState of the same host instance with the new
-// terminals. free follows the Instance convention (aligned with
+// Reset rewinds every contraction and installs a new terminal set,
+// reusing all buffers: after Reset the state behaves exactly like
+// NewState of the same host instance with the new terminals. It keeps
+// the state's own distance rows and the sequence they were swept for,
+// which a later oracle call reuses only on an equal sequence
+// (oracle.go). free follows the Instance convention (aligned with
 // terminals; nil means all paying).
 func (s *State) Reset(terminals []int, free []bool) {
 	s.g.Rewind(s.base)
+	s.seq = s.seq[:0]
 	n := s.n0
 	s.w = s.w[:n]
 	s.alive = s.alive[:n]
@@ -294,14 +301,6 @@ func (s *State) PayingTerminals() []int {
 	return out
 }
 
-// DropTerminal removes terminal status from an original terminal (used by
-// the mechanism when an agent cannot pay). The vertex stays in the graph
-// as an optional relay.
-func (s *State) DropTerminal(v int) {
-	s.isTerm[v] = false
-	s.cons[v] = nil
-}
-
 // NodeDist computes node-weighted shortest-path distances from src over
 // live vertices: dist[v] = min over paths of Σ weights of path nodes
 // excluding src itself. parent gives the predecessor on an optimal path.
@@ -316,21 +315,28 @@ func (s *State) NodeDist(src int) (dist []float64, parent []int32) {
 }
 
 // nodeDistInto is NodeDist writing into caller-provided slices of length
-// g.N(), reusing lane 0's heap and visited mask.
+// g.N(), reusing lane 0's heap.
 func (s *State) nodeDistInto(src int, dist []float64, parent []int32) {
 	s.dijkstra(&s.sc, src, dist, parent, -1)
 }
 
 // dijkstra is the node-weighted sweep behind NodeDist and the oracles,
-// running on one lane's heap and visited mask, so the oracle lanes can
-// sweep one read-only State at once. stopTerms > 0 halts the search once
-// that many live *paying* terminals have settled. Every entry a caller
-// may read is final by then — a settled vertex's dist and the parents
-// along its optimal path (all settled strictly earlier) never change
+// running on one lane's heap, so the oracle lanes can sweep one
+// read-only State at once. stopTerms > 0 halts the search once that
+// many live *paying* terminals have settled. Every entry a caller may
+// read is final by then — a settled vertex's dist and the parents along
+// its optimal path (all settled strictly earlier) never change
 // afterwards — so for callers that only consume paying-terminal
 // distances and their paths (the Klein–Ravi scan) the observable bytes
 // match an exhaustive run; entries past the stop are garbage and must
 // not be read. stopTerms ≤ 0 runs to exhaustion.
+//
+// Each vertex is pushed at most once. Its key is final when it is first
+// reached: the first neighbour u to pop gives du + w(v), every later
+// neighbour pops no earlier, and rounding is monotone, so the nd <
+// dist[v] test never fires for v again. Vertices pop in (key, id)
+// order, so dist and parent are a decrease-key sweep's bit for bit,
+// entries past an early stop included (refDijkstra in the tests).
 func (s *State) dijkstra(sc *scratch, src int, dist []float64, parent []int32, stopTerms int) {
 	n := s.g.N()
 	for i := 0; i < n; i++ {
@@ -340,24 +346,16 @@ func (s *State) dijkstra(sc *scratch, src int, dist []float64, parent []int32, s
 	if !s.alive[src] {
 		return
 	}
-	h := sc.heap
-	if h.Cap() < n {
-		h.Grow(roomFor(n))
+	// At most n pushes, so the heap never outgrows this capacity.
+	if cap(sc.heap) < n {
+		sc.heap = make(sweepHeap, 0, roomFor(n))
 	}
-	h.Reset()
-	sc.done = fit(sc.done, n)
-	done := sc.done
-	for i := range done {
-		done[i] = false
-	}
+	h := sc.heap[:0]
 	dist[src] = 0
-	h.Push(src, 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if done[u] {
-			continue
-		}
-		done[u] = true
+	h.push(heapSlot{key: 0, v: int32(src)})
+	for len(h) > 0 {
+		top := h.pop()
+		u := int(top.v)
 		if stopTerms > 0 && s.isTerm[u] && !s.free[u] {
 			if stopTerms--; stopTerms == 0 {
 				return
@@ -365,16 +363,80 @@ func (s *State) dijkstra(sc *scratch, src int, dist []float64, parent []int32, s
 		}
 		for _, e := range s.g.Neighbors(u) {
 			v := e.To
-			if !s.alive[v] || done[v] {
+			if !s.alive[v] {
 				continue
 			}
-			if nd := du + s.w[v]; nd < dist[v] {
+			if nd := top.key + s.w[v]; nd < dist[v] {
 				dist[v] = nd
 				parent[v] = int32(u)
-				h.PushOrDecrease(v, nd)
+				h.push(heapSlot{key: nd, v: int32(v)})
 			}
 		}
 	}
+}
+
+// sweepHeap is the min-heap of a push-once node-weighted sweep: a
+// plain 4-ary heap of (key, vertex) slots. It keeps no positions and
+// offers no decrease-key, which a sweep that pushes each vertex once
+// never needs.
+type sweepHeap []heapSlot
+
+type heapSlot struct {
+	key float64
+	v   int32
+}
+
+// before orders slots by (key, vertex). The order is total, so the
+// popped minimum is unique whatever the heap's shape.
+func (a heapSlot) before(b heapSlot) bool {
+	return a.key < b.key || a.key == b.key && a.v < b.v
+}
+
+// push inserts slot x.
+func (h *sweepHeap) push(x heapSlot) {
+	a := append(*h, x)
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(a[p]) {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = x
+	*h = a
+}
+
+// pop removes and returns the minimum slot of a non-empty heap.
+func (h *sweepHeap) pop() heapSlot {
+	a := *h
+	top, last := a[0], len(a)-1
+	x := a[last]
+	a = a[:last]
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= last {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < last; j++ {
+			if a[j].before(a[m]) {
+				m = j
+			}
+		}
+		if !a[m].before(x) {
+			break
+		}
+		a[i] = a[m]
+		i = m
+	}
+	if last > 0 {
+		a[i] = x
+	}
+	*h = a
+	return top
 }
 
 // pathNodes walks parent pointers from v back to the source of a NodeDist
@@ -472,6 +534,7 @@ func (s *State) Shrink(sp Spider) int {
 		inSpider[v] = false
 		s.alive[v] = false
 	}
+	s.seq = append(append(s.seq, sp.Nodes...), -1)
 	return nv
 }
 

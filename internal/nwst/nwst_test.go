@@ -182,17 +182,6 @@ func TestFreeTerminalsExcludedFromRatio(t *testing.T) {
 	}
 }
 
-func TestDropTerminal(t *testing.T) {
-	s := NewState(fig1Instance())
-	s.DropTerminal(0)
-	if s.IsTerminal(0) || s.Constituents(0) != nil {
-		t.Error("DropTerminal did not clear state")
-	}
-	if got := s.LiveTerminals(); len(got) != 3 {
-		t.Errorf("live = %v", got)
-	}
-}
-
 // randomInstance builds a connected random node-weighted instance.
 func randomInstance(rng *rand.Rand, n, k int) Instance {
 	g := graph.New(n)

@@ -2,12 +2,12 @@ package nwst
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"wmcs/internal/engine"
-	"wmcs/internal/graph"
 )
 
 // This file is the spider oracles (DESIGN.md §14). Both are center
@@ -28,10 +28,14 @@ import (
 // TrajectoryMemo keeps returned spiders for replay, so they must never
 // alias State buffers.
 //
-// An oracle call on a pooled State that has contracted nothing yet
-// sweeps nothing: its distance rows are the pool's table of
-// uncontracted rows (hostRows, DESIGN.md §11.2), filled by the pool's
-// first such call.
+// A branch-oracle call sweeps each contracted graph once per state. On
+// a pooled State that has contracted nothing yet its distance rows are
+// the pool's table of uncontracted rows (hostRows, DESIGN.md §11.2),
+// filled by the pool's first such call. Off the table it reads the
+// state's own rows, and sweeps them only when the state's contraction
+// sequence differs from the one they were last swept for: an
+// exhaustive sweep reads only the graph, the weights and the alive
+// marks, and Shrink makes all three a function of that sequence.
 
 // oracleSliceCap bounds the number of center slices: min(n, 32) slices
 // keeps the fold trivially cheap while feeding any realistic pool.
@@ -45,21 +49,31 @@ type oracleTables struct {
 	// dists[v] and parents[v] are the node distances and shortest-path
 	// parents from center v that the current call reads. On a pooled
 	// state that has contracted nothing (fromHost) they alias the pool's
-	// table; otherwise they are ownDists and ownParents, which every
-	// branch-oracle call refreshes (a Klein–Ravi call off the table
-	// sweeps into its lane's buffers instead). No sweep ever writes
-	// through an alias of the table.
+	// table; otherwise they are ownDists and ownParents, which only
+	// branch-oracle calls write (a Klein–Ravi call off the table sweeps
+	// into its lane's buffers instead). No sweep ever writes through an
+	// alias of the table.
 	dists      [][]float64
 	parents    [][]int32
 	ownDists   [][]float64
 	ownParents [][]int32
+	// ownSeq is the contraction sequence (State.seq) the own rows were
+	// last swept for, and ownSwept reports that they were swept at all.
+	// Reset keeps both.
+	ownSeq   []int
+	ownSwept bool
 	// host is the table of the pool the state came from (nil outside a
 	// pool), and fromHost reports that the current call reads it.
+	// reused reports that the current branch call reads own rows swept
+	// by an earlier call for an equal sequence, and sweeps nothing.
 	host     *hostRows
 	fromHost bool
+	reused   bool
 	// hubT1[u], hubT2[u] are hub u's two nearest paying terminals (−1
-	// when it has fewer than two in reach), for the branch oracle.
+	// when it has fewer than two in reach), for the branch oracle, and
+	// rank[t] is paying terminal t's index in paying.
 	hubT1, hubT2 []int
+	rank         []int
 	// lanes[0] is &State.sc; more are added the first time a pool
 	// wider than 1 scans.
 	lanes []*scratch
@@ -176,8 +190,10 @@ func (s *State) branchSpider(minCover int, pool *engine.Pool) (Spider, bool) {
 // begin loads one call's inputs, sizes the tables and lane 0 to the
 // current graph and points dists and parents at the rows the call
 // reads, filling the pool's table if this is its first call on a state
-// that has contracted nothing. It reports false when no paying terminal
-// is live.
+// that has contracted nothing. A branch call off the table reuses the
+// own rows when the state's sequence equals the one they were swept
+// for, and otherwise records its sequence for the sweep to come. It
+// reports false when no paying terminal is live.
 func (s *State) begin(minCover int, branch bool, pool *engine.Pool) bool {
 	n := s.g.N()
 	s.paying = s.paying[:0]
@@ -196,18 +212,29 @@ func (s *State) begin(minCover int, branch bool, pool *engine.Pool) bool {
 	s.brBest = fit(s.brBest, ns)
 	s.sc.grow(n)
 	s.fromHost = s.host != nil && n == s.n0
-	if s.fromHost {
+	s.reused = false
+	switch {
+	case s.fromHost:
 		s.host.once.Do(func() { s.fillHost(pool) })
 		s.dists, s.parents = s.host.dists, s.host.parents
-	} else {
-		if branch {
+	case branch:
+		s.reused = s.ownSwept && slices.Equal(s.seq, s.ownSeq)
+		if !s.reused {
 			s.growOwnRows(n)
+			s.ownSeq = append(s.ownSeq[:0], s.seq...)
+			s.ownSwept = true
 		}
+		s.dists, s.parents = s.ownDists, s.ownParents
+	default:
 		s.dists, s.parents = s.ownDists, s.ownParents
 	}
 	if branch {
 		s.hubT1 = fit(s.hubT1, n)
 		s.hubT2 = fit(s.hubT2, n)
+		s.rank = fit(s.rank, n)
+		for i, t := range s.paying {
+			s.rank[t] = i
+		}
 	}
 	return true
 }
@@ -240,12 +267,13 @@ func (sc *scratch) grow(n int) {
 // the branch oracle, whose leg greedy reads every hub's row, the
 // state's own row, exhaustively; for Klein–Ravi, which reads only the
 // row of the center it is scoring, the lane's own buffers, stopped at
-// the last paying terminal. On the table it sweeps nothing: the table
-// row is the exhaustive row, and the stopped sweep agrees with it on
-// every entry Klein–Ravi reads (see dijkstra).
+// the last paying terminal. On the table, or on own rows swept for the
+// same sequence, it sweeps nothing: those rows are the exhaustive rows,
+// and the stopped sweep agrees with them on every entry Klein–Ravi
+// reads (see dijkstra).
 func (s *State) sweep(sc *scratch, v int) ([]float64, []int32) {
 	switch {
-	case s.fromHost:
+	case s.fromHost || s.reused:
 		return s.dists[v], s.parents[v]
 	case s.branch:
 		s.dijkstra(sc, v, s.dists[v], s.parents[v], -1)
@@ -273,7 +301,7 @@ func (s *State) scan(pool *engine.Pool, task func(s *State, sc *scratch, b int))
 		s.lanes = append(s.lanes, &s.sc)
 	}
 	for len(s.lanes) < w {
-		s.lanes = append(s.lanes, &scratch{heap: graph.NewIndexHeap(n)})
+		s.lanes = append(s.lanes, &scratch{})
 	}
 	for _, sc := range s.lanes[:w] {
 		sc.grow(n)
@@ -442,16 +470,30 @@ func (t *termDistSorter) Swap(a, b int) {
 // t1, t2.
 type legItem struct {
 	cost   float64
-	hub    int // −1 for single legs
+	hub    int // −1 for single legs, retiredLeg for a dominated fork
 	t1, t2 int // covered terminals; t2 == −1 for single legs
 }
 
+// retiredLeg marks a forked leg that a later leg to the same pair
+// dominates; branchCenter compacts such legs out before its greedy.
+const retiredLeg = -2
+
 // branchCenter runs center v's leg greedy: single legs to every
 // reachable paying terminal and forked legs through every reachable
-// hub, picked by cost per newly covered terminal. Once minCover
-// terminals are covered, every pick's union is offered to best. With
-// upto > 0 the greedy instead stops after pick upto, leaving the chosen
-// legs in sc.legEnds and sc.hubLegs.
+// hub, picked by cost per newly covered terminal, the earliest item
+// winning ties. Once minCover terminals are covered, every pick's union
+// is offered to best. With upto > 0 the greedy instead stops after pick
+// upto, leaving the chosen legs in sc.legEnds and sc.hubLegs.
+//
+// Forked legs to one unordered pair always cover the same number nu of
+// new terminals, so the greedy picks at most one of them, and never one
+// that a leg to its pair beats at both nu = 1 and nu = 2 under the
+// pick's (cost/nu, item order) rule. Such legs are dropped, keeping the
+// order of the rest, so the picks are the same. Legs arrive in item
+// order, so a later leg is dropped if it costs at least as much as the
+// pair's cheapest kept leg (halving is monotone). A later, cheaper leg
+// retires that leg only if it is also cheaper after halving, which
+// fails only for subnormal costs.
 func (s *State) branchCenter(sc *scratch, v int, best *sliceBest, upto int) {
 	dv := s.dists[v]
 	items := sc.items[:0]
@@ -460,14 +502,37 @@ func (s *State) branchCenter(sc *scratch, v int, best *sliceBest, upto int) {
 			items = append(items, legItem{cost: dv[t], hub: -1, t1: t, t2: -1})
 		}
 	}
+	singles := len(items)
+	pairs := sc.pairTable(len(s.paying))
 	n := s.g.N()
 	for u := 0; u < n; u++ {
 		if !s.alive[u] || u == v || math.IsInf(dv[u], 1) || s.hubT2[u] < 0 {
 			continue
 		}
 		du, t1, t2 := s.dists[u], s.hubT1[u], s.hubT2[u]
-		items = append(items, legItem{cost: dv[u] + du[t1] + du[t2], hub: u, t1: t1, t2: t2})
+		cost := dv[u] + du[t1] + du[t2]
+		p := s.pairSlot(t1, t2)
+		if j := pairs[p]; j >= 0 {
+			if cost >= items[j].cost {
+				continue
+			}
+			if cost/2 < items[j].cost/2 {
+				items[j].hub = retiredLeg
+			}
+		}
+		pairs[p] = int32(len(items))
+		items = append(items, legItem{cost: cost, hub: u, t1: t1, t2: t2})
 	}
+	// Each pair's slot holds its last kept leg, so clearing the slots of
+	// the kept legs leaves the table all −1.
+	kept := items[:singles]
+	for _, it := range items[singles:] {
+		if it.hub != retiredLeg {
+			pairs[s.pairSlot(it.t1, it.t2)] = -1
+			kept = append(kept, it)
+		}
+	}
+	items = kept
 	sc.items = items
 	covered := sc.covered
 	for _, t := range s.paying {
@@ -520,6 +585,29 @@ func (s *State) branchCenter(sc *scratch, v int, best *sliceBest, upto int) {
 		}
 	}
 	sc.legEnds, sc.hubLegs = legEnds, hubLegs
+}
+
+// pairTable returns the lane's table of kept forked legs for k paying
+// terminals, every slot −1: slot pairSlot(t1, t2) holds the item index
+// of the pair's cheapest kept leg while branchCenter builds its items.
+func (sc *scratch) pairTable(k int) []int32 {
+	if len(sc.pairs) < k*k {
+		sc.pairs = make([]int32, k*k)
+		for i := range sc.pairs {
+			sc.pairs[i] = -1
+		}
+	}
+	return sc.pairs
+}
+
+// pairSlot is the pair table slot of the unordered paying-terminal pair
+// {t1, t2}.
+func (s *State) pairSlot(t1, t2 int) int {
+	a, b := s.rank[t1], s.rank[t2]
+	if a > b {
+		a, b = b, a
+	}
+	return a*len(s.paying) + b
 }
 
 // legUnion unions center v's chosen legs (sc.legEnds, then sc.hubLegs

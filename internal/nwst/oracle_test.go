@@ -1,21 +1,27 @@
 package nwst
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"wmcs/internal/engine"
+	"wmcs/internal/graph"
 )
 
 // The references below are deliberately naive restatements of the two
-// oracles: a full Dijkstra per center, every prefix or leg union rebuilt
-// from scratch, and one global best under the same ratio < best − 1e-15
-// rule. They share none of the oracles' optimisations — the early-stop
-// sweep, the incremental prefix union, the hub-pair table, the slicing,
-// the fold and the winner-only assembly — so agreement pins all of them.
+// oracles: a full decrease-key Dijkstra per center (refDijkstra), every
+// prefix or leg union rebuilt from scratch, every forked leg kept, and
+// one global best under the same ratio < best − 1e-15 rule. They share
+// none of the oracles' optimisations — the push-once sweep, the
+// early-stop sweep, the pool's table and the reuse of a state's own
+// rows, the incremental prefix union, the hub-pair table, the pruning
+// of dominated forked legs, the slicing, the fold and the winner-only
+// assembly — so agreement pins all of them.
 
 // naiveSpider unions the legs (node paths from center) in order and
 // prices the union, cost summed in insertion order.
@@ -81,7 +87,7 @@ func naiveKRInto(s *State, minCover int, best *naiveBest) {
 		if !s.Alive(v) {
 			continue
 		}
-		dist, parent := s.NodeDist(v)
+		dist, parent := refDijkstra(s, v, -1)
 		terms := append([]int(nil), paying...)
 		sort.Slice(terms, func(a, b int) bool {
 			if dist[terms[a]] != dist[terms[b]] {
@@ -132,7 +138,7 @@ func naiveLegsInto(s *State, minCover int, best *naiveBest) {
 	parents := make([][]int32, n)
 	for v := 0; v < n; v++ {
 		if s.Alive(v) {
-			dists[v], parents[v] = s.NodeDist(v)
+			dists[v], parents[v] = refDijkstra(s, v, -1)
 		}
 	}
 	type leg struct {
@@ -239,25 +245,65 @@ func integerWeights(in Instance) Instance {
 	return in
 }
 
+// oracleCase is an oracle under test, its naive reference, and whether
+// it is a branch oracle, which reads (and may reuse) a state's own rows
+// off the pool's table.
+type oracleCase struct {
+	name       string
+	got, naive Oracle
+	branch     bool
+}
+
 // oraclesUnderTest are the production oracles at widths 1 and 4, each
 // paired with its naive reference, plus the branch oracle's leg greedy
 // alone.
-func oraclesUnderTest() []struct {
-	name       string
-	got, naive Oracle
-} {
+func oraclesUnderTest() []oracleCase {
 	pool := engine.New(4)
-	return []struct {
-		name       string
-		got, naive Oracle
-	}{
-		{"kr/w1", KleinRaviOracle, naiveKleinRavi},
-		{"kr/w4", func(s *State, k int) (Spider, bool) { return s.kleinRavi(k, pool) }, naiveKleinRavi},
-		{"branch/w1", BranchSpiderOracle, naiveBranchSpider},
-		{"branch/w4", BranchSpiderOracleOn(pool), naiveBranchSpider},
-		{"legs/w1", branchLegs(nil), naiveBranchLegs},
-		{"legs/w4", branchLegs(pool), naiveBranchLegs},
+	return []oracleCase{
+		{"kr/w1", KleinRaviOracle, naiveKleinRavi, false},
+		{"kr/w4", func(s *State, k int) (Spider, bool) { return s.kleinRavi(k, pool) }, naiveKleinRavi, false},
+		{"branch/w1", BranchSpiderOracle, naiveBranchSpider, true},
+		{"branch/w4", BranchSpiderOracleOn(pool), naiveBranchSpider, true},
+		{"legs/w1", branchLegs(nil), naiveBranchLegs, true},
+		{"legs/w4", branchLegs(pool), naiveBranchLegs, true},
 	}
+}
+
+// replay runs a contraction run on st, and on the fresh reference state
+// ref in step, for at most calls oracle calls (all of them when
+// calls < 0): each call must return the naive reference's spider, and
+// both states then shrink it. It returns the spiders and, per call,
+// whether st reused its own rows.
+func replay(t *testing.T, label string, o oracleCase, ref, st *State, calls int) (spiders []Spider, reused []bool) {
+	t.Helper()
+	for step := 0; step != calls && len(ref.LiveTerminals()) > 2; step++ {
+		minCover := min(3, len(ref.PayingTerminals()))
+		want, okW := o.naive(ref, minCover)
+		got, okG := o.got(st, minCover)
+		if okW != okG || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s step %d:\ngot  %+v (%v)\nwant %+v (%v)", label, step, got, okG, want, okW)
+		}
+		reused = append(reused, st.reused)
+		if !okW {
+			break
+		}
+		spiders = append(spiders, want)
+		ref.Shrink(want)
+		st.Shrink(want)
+	}
+	return spiders, reused
+}
+
+// withoutTerminal drops terminal x from an instance's terminal set.
+func withoutTerminal(in Instance, x int) Instance {
+	out := Instance{G: in.G, Weights: in.Weights}
+	for i, t := range in.Terminals {
+		if t != x {
+			out.Terminals = append(out.Terminals, t)
+			out.Free = append(out.Free, in.Free != nil && in.Free[i])
+		}
+	}
+	return out
 }
 
 // TestParallelOraclesMatchSerial pins both oracles, at widths 1 and 4,
@@ -269,6 +315,15 @@ func oraclesUnderTest() []struct {
 // StatePool. The first pooled run fills the pool's table of
 // uncontracted rows and the second reads it, so a sweep that wrote into
 // the table would show up in the second run.
+//
+// The second pooled state then goes back to the pool and is drawn
+// again, first for an attempt cut after its second oracle call, as when
+// a receiver cannot pay the second spider, and then for two replays,
+// each cut the same way. On the same terminals the first spider
+// matches, so a branch oracle's second call must reuse the rows the cut
+// attempt swept. Without one of that spider's paying terminals the
+// first spider usually differs, and the second call must reuse exactly
+// when it does not.
 func TestParallelOraclesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -292,25 +347,42 @@ func TestParallelOraclesMatchSerial(t *testing.T) {
 				}
 			}
 			pool := NewStatePool(in.G, in.Weights)
+			var st *State
 			for run, draw := range []func() *State{
 				func() *State { return NewState(in) },
 				func() *State { return pool.Get(in.Terminals, in.Free) },
 				func() *State { return pool.Get(in.Terminals, in.Free) },
 			} {
-				ref, st := NewState(in), draw()
-				for step := 0; len(ref.LiveTerminals()) > 2; step++ {
-					minCover := min(3, len(ref.PayingTerminals()))
-					want, okW := o.naive(ref, minCover)
-					got, okG := o.got(st, minCover)
-					if okW != okG || !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d %s run %d step %d:\ngot  %+v (%v)\nwant %+v (%v)", trial, o.name, run, step, got, okG, want, okW)
-					}
-					if !okW {
-						break
-					}
-					ref.Shrink(want)
-					st.Shrink(want)
+				st = draw()
+				replay(t, fmt.Sprintf("trial %d %s run %d", trial, o.name, run), o, NewState(in), st, -1)
+			}
+			pool.Put(st)
+			attempt := func(label string, set Instance) ([]Spider, []bool) {
+				st := pool.Get(set.Terminals, set.Free)
+				defer pool.Put(st)
+				return replay(t, fmt.Sprintf("trial %d %s %s", trial, o.name, label), o, NewState(set), st, 2)
+			}
+			first, _ := attempt("cut attempt", in)
+			if len(first) < 2 {
+				continue // fewer than two oracle calls: no own rows to reuse
+			}
+			if _, reused := attempt("same-terminals replay", in); reused[1] != o.branch {
+				t.Fatalf("trial %d %s: same first spider, second call reused = %v", trial, o.name, reused[1])
+			}
+			var drop int
+			for _, x := range first[0].Terms {
+				if i := slices.Index(in.Terminals, x); i >= 0 && (in.Free == nil || !in.Free[i]) {
+					drop = x
+					break
 				}
+			}
+			got, reused := attempt("dropped-terminal replay", withoutTerminal(in, drop))
+			if len(reused) < 2 {
+				continue
+			}
+			if want := o.branch && slices.Equal(got[0].Nodes, first[0].Nodes); reused[1] != want {
+				t.Fatalf("trial %d %s: first spider %v after %v, second call reused = %v, want %v",
+					trial, o.name, got[0].Nodes, first[0].Nodes, reused[1], want)
 			}
 		}
 	}
@@ -425,6 +497,46 @@ func TestOracleAllocsPinned(t *testing.T) {
 		o.oracle(pooled, 3)
 		if got := testing.AllocsPerRun(20, func() { o.oracle(pooled, 3) }); got != 2 {
 			t.Errorf("%s pooled at step 0: %v allocs per call, want 2", o.name, got)
+		}
+	}
+}
+
+// TestBranchLegsSubnormalTie pins the pruning of dominated forked legs
+// where halving rounds. Center 0 reaches hubs 1 and 2, each adjacent to
+// both paying terminals 3 and 4, so the forked legs through them cost
+// 4 and 3 units of the smallest subnormal: the later leg is cheaper,
+// but 3/2 rounds to 2 like 4/2. At nu = 2 the legs tie and the earlier
+// one wins, so the later leg must not retire it, and the leg greedy
+// picks hub 1. Every ratio here is within 1e-15 of every other, so
+// center 0's first candidate wins the fold, and a prune on cost alone
+// would return hub 2's spider instead.
+func TestBranchLegsSubnormalTie(t *testing.T) {
+	u := math.SmallestNonzeroFloat64
+	if 3*u >= 4*u || 3*u/2 != 4*u/2 {
+		t.Fatal("the instance needs c1 < c2 with c1/2 == c2/2")
+	}
+	g := graph.New(5)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}} {
+		g.AddEdge(e[0], e[1], 0)
+	}
+	in := Instance{G: g, Weights: []float64{0, 4 * u, 3 * u, 0, 0}, Terminals: []int{3, 4}}
+	wide := engine.New(4)
+	for _, o := range []oracleCase{
+		{"legs/w1", branchLegs(nil), naiveBranchLegs, true},
+		{"legs/w4", branchLegs(wide), naiveBranchLegs, true},
+	} {
+		for minCover := 1; minCover <= 2; minCover++ {
+			want, okW := o.naive(NewState(in), minCover)
+			if !okW || !slices.Equal(want.Nodes, []int{0, 1, 3, 4}) {
+				t.Fatalf("%s minCover %d: the reference picked %+v, want hub 1's spider", o.name, minCover, want)
+			}
+			pooled := NewStatePool(in.G, in.Weights).Get(in.Terminals, nil)
+			for _, st := range []*State{NewState(in), pooled} {
+				got, okG := o.got(st, minCover)
+				if okG != okW || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s minCover %d:\ngot  %+v (%v)\nwant %+v (%v)", o.name, minCover, got, okG, want, okW)
+				}
+			}
 		}
 	}
 }

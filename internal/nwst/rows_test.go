@@ -3,6 +3,7 @@ package nwst
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -105,6 +106,80 @@ func TestStatePoolConcurrentFill(t *testing.T) {
 	for i := range sets {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("query %d: concurrent pooled run diverged from the naive reference\ngot  %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStateRowReuse pins when a branch call off the pool's table reuses
+// the state's own rows: exactly when the state's contraction sequence
+// equals the one they were last swept for, and then every live own row
+// is the exhaustive row NodeDist sweeps on a fresh state contracted the
+// same way. A pooled and an unpooled state each run attempts cut after
+// one to three oracle calls, as the mechanism's restarts are, on a
+// terminal set that repeats and that loses a terminal, so the sequence
+// both repeats and changes. (An unpooled state sweeps its own rows at
+// the empty sequence too, so only attempts cut after one call let it
+// reuse them.)
+func TestStateRowReuse(t *testing.T) {
+	in := withFreeSource(randomInstance(rand.New(rand.NewSource(61)), 16, 7))
+	less := withoutTerminal(in, in.Terminals[len(in.Terminals)-1])
+	attempts := []struct {
+		set   Instance
+		calls int
+	}{{in, 2}, {in, 2}, {in, 3}, {less, 2}, {less, 2}, {in, 1}, {in, 1}, {in, 2}, {in, 3}}
+	for _, pooled := range []bool{false, true} {
+		pool := NewStatePool(in.G, in.Weights)
+		var st *State
+		hits, misses := 0, 0
+		for a, at := range attempts {
+			switch {
+			case pooled:
+				st = pool.Get(at.set.Terminals, at.set.Free)
+			case st == nil:
+				st = NewState(at.set)
+			default:
+				st.Reset(at.set.Terminals, at.set.Free)
+			}
+			fresh := NewState(at.set)
+			for call := 0; call < at.calls && len(st.LiveTerminals()) > 2; call++ {
+				swept, sweptFor := st.ownSwept, slices.Clone(st.ownSeq)
+				sp, ok := BranchSpiderOracle(st, min(3, len(st.PayingTerminals())))
+				if !ok {
+					t.Fatalf("pooled %v attempt %d call %d: no spider", pooled, a, call)
+				}
+				if !st.fromHost {
+					want := swept && slices.Equal(st.seq, sweptFor)
+					if st.reused != want {
+						t.Fatalf("pooled %v attempt %d call %d: reused = %v with sequence %v, rows swept for %v (swept %v)",
+							pooled, a, call, st.reused, st.seq, sweptFor, swept)
+					}
+					if want {
+						hits++
+					} else {
+						misses++
+					}
+					if !slices.Equal(st.ownSeq, st.seq) {
+						t.Fatalf("pooled %v attempt %d call %d: rows recorded as swept for %v, sequence %v", pooled, a, call, st.ownSeq, st.seq)
+					}
+					for v := 0; v < st.g.N(); v++ {
+						if !st.alive[v] {
+							continue
+						}
+						dist, parent := fresh.NodeDist(v)
+						if !sameBits(st.ownDists[v], dist) || !slices.Equal(st.ownParents[v], parent) {
+							t.Fatalf("pooled %v attempt %d call %d: own row %d is not the fresh state's exhaustive row", pooled, a, call, v)
+						}
+					}
+				}
+				st.Shrink(sp)
+				fresh.Shrink(sp)
+			}
+			if pooled {
+				pool.Put(st)
+			}
+		}
+		if hits == 0 || misses == 0 {
+			t.Fatalf("pooled %v: %d reusing and %d sweeping calls, want both", pooled, hits, misses)
 		}
 	}
 }
