@@ -336,36 +336,46 @@ func BenchmarkWirelessBBMechanism(b *testing.B) {
 	}
 }
 
-// BenchmarkWirelessBBFreshQueries is cold-compute's wireless-bb class at
-// the query layer. Each iteration builds a fresh Evaluator on
-// cold-compute's uni12 network (uniform, n = 12, α = 2, seed 11) and
-// answers 16 seeded uniform-workload queries through the default branch
-// oracle. Unlike the one-attempt benchmarks above, the profiles make
-// receivers drop, so attempts repeat and the trajectory memo misses as
-// on served cache misses.
+// BenchmarkWirelessBBFreshQueries is wireless-bb's cache misses at the
+// query layer, on the serving benchmark's wireless-bb networks:
+// cold-compute's uni12 and sym12 and churn's uni8 and sym8. Each
+// iteration builds a fresh Evaluator on the network and answers 16
+// seeded uniform-workload queries through the default branch oracle.
+// Unlike the one-attempt benchmarks above, the profiles make receivers
+// drop, so attempts repeat and the trajectory memo misses as on served
+// cache misses.
 func BenchmarkWirelessBBFreshQueries(b *testing.B) {
-	nw, err := instances.Spec{Scenario: "uniform", N: 12, Alpha: 2, Seed: 11}.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	uniform, err := instances.WorkloadByName("uniform")
-	if err != nil {
-		b.Fatal(err)
-	}
-	smp := uniform.New(rand.New(rand.NewSource(7)), nw, instances.WorkloadOptions{})
-	qs := make([]instances.Query, 16)
-	for i := range qs {
-		qs[i] = smp.Next()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := query.NewEvaluator(nw)
-		for _, q := range qs {
-			if _, err := ev.Evaluate(mechreg.WirelessBB, q.R, q.U); err != nil {
+	for _, sp := range []instances.Spec{
+		{Name: "uni12", Scenario: "uniform", N: 12, Alpha: 2, Seed: 11},
+		{Name: "sym12", Scenario: "symmetric", N: 12, Alpha: 2, Seed: 12},
+		{Name: "uni8", Scenario: "uniform", N: 8, Alpha: 2, Seed: 21},
+		{Name: "sym8", Scenario: "symmetric", N: 8, Alpha: 2, Seed: 24},
+	} {
+		b.Run(sp.Name, func(b *testing.B) {
+			nw, err := sp.Build()
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			uniform, err := instances.WorkloadByName("uniform")
+			if err != nil {
+				b.Fatal(err)
+			}
+			smp := uniform.New(rand.New(rand.NewSource(7)), nw, instances.WorkloadOptions{})
+			qs := make([]instances.Query, 16)
+			for i := range qs {
+				qs[i] = smp.Next()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := query.NewEvaluator(nw)
+				for _, q := range qs {
+					if _, err := ev.Evaluate(mechreg.WirelessBB, q.R, q.U); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
