@@ -2,7 +2,9 @@
 // mechanism for the non-cooperative node-weighted Steiner tree problem:
 // repeatedly pick the minimum-ratio spider; if every covered terminal can
 // pay the ratio, charge it and shrink; otherwise drop the agents that
-// cannot afford their slice and restart from scratch. Super-terminal
+// cannot afford their slice and restart from scratch. One such pass is
+// Attempt: RunDetailed loops over it, and the wireless mechanism
+// (internal/wmech) calls it from its own restart loop. Super-terminal
 // utilities follow Eq. (5): v_t = |T_Sp| · min_{t'∈T_Sp}(v_{t'} − c_{t'}).
 //
 // Faithfulness note: the published drop rule compares residual budgets to
@@ -27,6 +29,7 @@ package nwstmech
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"wmcs/internal/mech"
@@ -38,7 +41,10 @@ type Mechanism struct {
 	inst   nwst.Instance
 	oracle nwst.Oracle
 	agents []int
-	pool   *nwst.StatePool
+	// freeTerms lists the free terminals in instance order; every
+	// attempt's terminal list starts with them.
+	freeTerms []int
+	pool      *nwst.StatePool
 	// memo, when non-nil, replays recorded spider trajectories for
 	// terminal sets seen before (nwst.TrajectoryMemo): the greedy's
 	// spider sequence depends only on the terminal set, never on the
@@ -51,35 +57,33 @@ const eps = 1e-9
 
 // New builds the mechanism for an NWST instance. Paying terminals are the
 // agents; free terminals (the wireless source) are always connected and
-// never charged. The mechanism owns a private state pool and no memo.
+// never charged. The mechanism draws contraction states from a private
+// pool, so Run is safe for concurrent use, and keeps no memo.
 func New(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
-	return NewMemoized(inst, oracle, nil, nil)
-}
-
-// NewMemoized is New with an external state pool and a trajectory memo.
-// The pool must be over the same host graph and weights as inst; queries
-// drawing states from a shared pool produce byte-identical results to
-// private-pool queries, because nwst.State.Reset restores a pooled state
-// to as-constructed behavior. A nil pool allocates a private one. The
-// memo records the spider sequence per terminal set and replays it on
-// re-runs instead of re-invoking the oracle; it must be used only with
-// this host instance and oracle (the wireless mechanism owns one per
-// reduction), and nil disables memoization.
-func NewMemoized(inst nwst.Instance, oracle nwst.Oracle, pool *nwst.StatePool, memo *nwst.TrajectoryMemo) *Mechanism {
 	inst.Validate()
 	if oracle == nil {
 		oracle = nwst.BranchSpiderOracle
 	}
-	if pool == nil {
-		pool = nwst.NewStatePool(inst.G, inst.Weights)
-	}
-	m := &Mechanism{inst: inst, oracle: oracle, pool: pool, memo: memo}
+	m := &Mechanism{inst: inst, oracle: oracle, pool: nwst.NewStatePool(inst.G, inst.Weights)}
 	for ti, t := range inst.Terminals {
-		if inst.Free == nil || !inst.Free[ti] {
+		if inst.Free != nil && inst.Free[ti] {
+			m.freeTerms = append(m.freeTerms, t)
+		} else {
 			m.agents = append(m.agents, t)
 		}
 	}
 	sort.Ints(m.agents)
+	return m
+}
+
+// NewMemoized is New with a trajectory memo: it records the spider
+// sequence per terminal set and replays it on later attempts with the
+// same set instead of re-invoking the oracle. The memo lives as long as
+// the mechanism. The wireless mechanism builds one per reduction, so
+// deviation probes and repeat queries against it replay.
+func NewMemoized(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
+	m := New(inst, oracle)
+	m.memo = nwst.NewTrajectoryMemo(0)
 	return m
 }
 
@@ -101,51 +105,37 @@ func (m *Mechanism) Run(u mech.Profile) mech.Outcome { return m.RunDetailed(u).O
 
 // RunDetailed executes the mechanism and also reports the chosen nodes.
 func (m *Mechanism) RunDetailed(u mech.Profile) Result {
-	active := map[int]bool{}
-	for _, a := range m.agents {
-		active[a] = true
-	}
-	var freeTerms []int
-	for ti, t := range m.inst.Terminals {
-		if m.inst.Free != nil && m.inst.Free[ti] {
-			freeTerms = append(freeTerms, t)
-		}
-	}
+	active := slices.Clone(m.agents)
 	for {
-		res, droppedAgents, ok := m.attempt(u, active, freeTerms)
+		res, drop, ok := m.Attempt(u, active)
 		if ok {
 			return res
 		}
-		if len(droppedAgents) == 0 {
-			// Defensive: guarantee progress even under numerical ties.
-			return Result{Outcome: mech.Outcome{Shares: map[int]float64{}}}
-		}
-		for _, x := range droppedAgents {
-			delete(active, x)
-		}
-		if len(active) == 0 {
+		left := len(active)
+		active = slices.DeleteFunc(active, func(a int) bool {
+			_, found := slices.BinarySearch(drop, a)
+			return found
+		})
+		// Nobody dropped is a dead end (the terminals cannot be
+		// connected): the same attempt would fail again.
+		if len(active) == left || len(active) == 0 {
 			return Result{Outcome: mech.Outcome{Shares: map[int]float64{}}}
 		}
 	}
 }
 
-// attempt runs one full pass with the given active agent set. It returns
-// ok=false with the agents to drop when some spider is unaffordable.
-func (m *Mechanism) attempt(u mech.Profile, active map[int]bool, freeTerms []int) (Result, []int, bool) {
-	var terms []int
-	var free []bool
-	for _, t := range freeTerms {
-		terms = append(terms, t)
-		free = append(free, true)
-	}
-	var sortedActive []int
-	for a := range active {
-		sortedActive = append(sortedActive, a)
-	}
-	sort.Ints(sortedActive)
-	for _, a := range sortedActive {
-		terms = append(terms, a)
-		free = append(free, false)
+// Attempt runs one full pass of the greedy with the agents in active, a
+// sorted subset of Agents(), as the paying terminals. It returns
+// ok=false with the sorted agents to drop when some spider is
+// unaffordable, and ok=false with none when the terminals cannot be
+// connected. A pass depends only on active and on the reports of its
+// members, so a caller that drops agents for reasons of its own (the
+// wireless mechanism's step (c)) restarts with Attempt on the survivors.
+func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) {
+	terms := slices.Concat(m.freeTerms, active)
+	free := make([]bool, len(terms))
+	for i := range m.freeTerms {
+		free[i] = true
 	}
 	st := m.pool.Get(terms, free)
 	defer m.pool.Put(st)
@@ -341,11 +331,7 @@ func (m *Mechanism) attempt(u mech.Profile, active map[int]bool, freeTerms []int
 	for _, v := range nodes {
 		cost += m.inst.Weights[v]
 	}
-	receivers := make([]int, 0, len(active))
-	for a := range active {
-		receivers = append(receivers, a)
-	}
-	sort.Ints(receivers)
+	receivers := append(make([]int, 0, len(active)), active...)
 	sharesOut := make(map[int]float64, len(receivers))
 	for _, r := range receivers {
 		sharesOut[r] = shares[r]

@@ -1,11 +1,13 @@
 // Package wmech implements the §2.2.3 cost-sharing mechanism for
 // multicast transmissions in general symmetric wireless networks: reduce
 // to node-weighted Steiner tree via the Caragiannis et al. construction
-// (internal/memtred), run the §2.2.2 NWST mechanism (internal/nwstmech)
-// with the source's input node as a free terminal, extract the directed
-// multicast tree by BFS orientation, and then charge the orientation's
-// extra powers to the downstream receivers (step (c)), dropping and
-// restarting whenever someone cannot pay. With a β(k)-approximate spider
+// (internal/memtred), run one attempt of the §2.2.2 NWST mechanism
+// (internal/nwstmech) with the source's input node as a free terminal,
+// extract the directed multicast tree by BFS orientation, and then charge
+// the orientation's extra powers to the downstream receivers (step (c)).
+// Whoever cannot pay, in the attempt or in step (c), drops, and the loop
+// repeats on the survivors: RunDetailed is the only restart loop, the
+// paper's "while R′ ≠ R(v)". With a β(k)-approximate spider
 // oracle the mechanism is 2β(k)-BB — 3 ln(k+1) for the paper's 1.5 ln k
 // oracle — strategyproof, and meets NPT, VP and CS; like its NWST core it
 // is not group strategyproof.
@@ -13,8 +15,7 @@ package wmech
 
 import (
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"wmcs/internal/mech"
 	"wmcs/internal/memtred"
@@ -25,25 +26,25 @@ import (
 
 // Mechanism is the §2.2.3 wireless multicast cost-sharing mechanism.
 //
-// Construction precomputes the MEMT→NWST reduction once; every Run is a
-// query against it, drawing contraction states from a shared pool, so
-// repeated queries (different profiles, different receiver sets) pay no
-// reduction or graph-copy cost. Run is safe for concurrent use: the
-// reduction is read-only after New and the state pool is mutex-guarded.
+// Construction takes the MEMT→NWST reduction and builds the §2.2.2 NWST
+// mechanism over it once, with every receiver's input node as an agent;
+// every Run is a query against them, so repeated queries (different
+// profiles, different receiver sets) pay no reduction, instance or
+// graph-copy cost. Run is safe for concurrent use: the reduction is
+// read-only after New and the NWST mechanism draws its contraction
+// states from a mutex-guarded pool.
 type Mechanism struct {
 	Net    *wireless.Network
-	Oracle nwst.Oracle
 	rd     *memtred.Reduction
-	spool  *nwst.StatePool
-	// memo records the inner mechanism's spider trajectories per active
-	// receiver set: repeated runs (deviation probes, repeat queries)
-	// replay them instead of re-running the oracle, byte-identically.
-	// The memo's lifetime is this mechanism instance — the query layer
-	// builds a fresh mechanism per evaluator generation, so an update
-	// (query.VersionedEvaluator.Update) retires it wholesale.
-	memo *nwst.TrajectoryMemo
-	// uhPool recycles the H-node utility profiles of attempt.
-	uhPool sync.Pool
+	oracle nwst.Oracle
+	// inner is the NWST mechanism over every receiver's input node. Its
+	// trajectory memo lets repeated runs (deviation probes, repeat
+	// queries) replay spider sequences instead of re-running the oracle,
+	// byte-identically. The memo and the state pool live as long as this
+	// mechanism instance — the query layer builds a fresh mechanism per
+	// evaluator generation, so an update
+	// (query.VersionedEvaluator.Update) retires them wholesale.
+	inner *nwstmech.Mechanism
 }
 
 const eps = 1e-9
@@ -56,25 +57,24 @@ func New(nw *wireless.Network, oracle nwst.Oracle) *Mechanism {
 
 // NewFromReduction builds the mechanism on an already-computed reduction,
 // so callers holding one per network (e.g. the query evaluator) share it
-// across mechanism variants instead of rebuilding the H graph.
+// across mechanism variants instead of rebuilding the H graph. It builds
+// the memoized NWST mechanism over every receiver once.
 func NewFromReduction(rd *memtred.Reduction, oracle nwst.Oracle) *Mechanism {
-	if oracle == nil {
-		oracle = nwst.BranchSpiderOracle
-	}
 	return &Mechanism{
 		Net:    rd.Net,
-		Oracle: oracle,
 		rd:     rd,
-		spool:  nwst.NewStatePool(rd.G, rd.Weights),
-		memo:   nwst.NewTrajectoryMemo(0),
+		oracle: oracle,
+		inner:  nwstmech.NewMemoized(rd.Instance(rd.Net.AllReceivers()), oracle),
 	}
 }
 
-// DisableMemo turns trajectory memoization off: every attempt then
-// recomputes its full spider sequence. This is the seed evaluation
-// path, kept reachable so the differential tests can pin memoized runs
-// byte-identical against it.
-func (m *Mechanism) DisableMemo() { m.memo = nil }
+// DisableMemo rebuilds the NWST mechanism without a trajectory memo:
+// every attempt then recomputes its full spider sequence. This is the
+// seed evaluation path, kept reachable so the differential tests can pin
+// memoized runs byte-identical against it.
+func (m *Mechanism) DisableMemo() {
+	m.inner = nwstmech.New(m.rd.Instance(m.Net.AllReceivers()), m.oracle)
+}
 
 // Name implements mech.Mechanism.
 // Name is the package-internal default for direct constructions; the
@@ -94,20 +94,34 @@ type Result struct {
 // Run implements mech.Mechanism.
 func (m *Mechanism) Run(u mech.Profile) mech.Outcome { return m.RunDetailed(u).Outcome }
 
-// RunDetailed executes the full reduce–share–orient–surcharge loop.
+// RunDetailed executes the paper's "while R′ ≠ R(v)" loop: one NWST
+// attempt on the active receivers, then, if it succeeds, the BFS
+// orientation and the step (c) surcharges. Whoever either step drops
+// leaves the active set and the loop repeats on the survivors.
 func (m *Mechanism) RunDetailed(u mech.Profile) Result {
-	active := append([]int(nil), m.Net.AllReceivers()...)
+	// The active receivers are kept as their input nodes, the NWST
+	// agents; each input node inherits its station's report.
+	active := m.inner.Agents()
+	uh := make(mech.Profile, m.rd.G.N())
+	for _, v := range active {
+		uh[v] = u[m.rd.Station(v)]
+	}
 	for len(active) > 0 {
-		res, dropped, ok := m.attempt(u, active)
+		det, drop, ok := m.inner.Attempt(uh, active)
 		if ok {
-			return res
+			var res Result
+			if res, drop, ok = m.surcharge(u, det); ok {
+				return res
+			}
 		}
-		if len(dropped) == 0 {
-			break
+		left := len(active)
+		active = slices.DeleteFunc(active, func(v int) bool {
+			_, found := slices.BinarySearch(drop, v)
+			return found
+		})
+		if len(active) == left {
+			break // a dead end: the same attempt would fail again
 		}
-		// Both lists are sorted, so the survivors are a sorted merge-diff
-		// — no scratch set needed.
-		active = diffSorted(active, dropped)
 	}
 	return Result{
 		Outcome:    mech.Outcome{Shares: map[int]float64{}},
@@ -115,60 +129,23 @@ func (m *Mechanism) RunDetailed(u mech.Profile) Result {
 	}
 }
 
-// attempt performs one outer iteration on the active receiver set. It
-// returns ok=false with the stations to drop when step (c) finds an
-// unaffordable surcharge, or when the inner NWST mechanism itself shrank
-// the receiver set (the outer loop then re-reduces on the smaller set, as
-// in the paper's "while R′ ≠ R(v)" loop).
-func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) {
-	inst := m.rd.Instance(active)
-	// Utility profile over H nodes: each receiver's input node inherits
-	// the station's report. The buffer is pooled and zeroed, which is
-	// byte-equivalent to the fresh allocation it replaces.
-	n := m.rd.G.N()
-	uh, _ := m.uhPool.Get().(mech.Profile)
-	// Deferred closure, not a plain defer: uh is rebound when the
-	// pooled buffer is too small, and the grown buffer is the one
-	// worth keeping.
-	defer func() { m.uhPool.Put(uh) }()
-	if cap(uh) < n {
-		uh = make(mech.Profile, n)
-	}
-	uh = uh[:n]
-	for i := range uh {
-		uh[i] = 0
-	}
-	for _, r := range active {
-		uh[m.rd.In[r]] = u[r]
-	}
-	inner := nwstmech.NewMemoized(inst, m.Oracle, m.spool, m.memo)
-	det := inner.RunDetailed(uh)
-	// Map surviving input-node terminals back to stations.
-	var served []int
+// surcharge realizes a successful NWST attempt as a multicast tree and
+// applies step (c). It returns ok=false with the sorted input nodes of
+// the receivers who cannot afford their surcharge.
+func (m *Mechanism) surcharge(u mech.Profile, det nwstmech.Result) (Result, []int, bool) {
+	served := make([]int, 0, len(det.Outcome.Receivers))
+	shares := make(map[int]float64, len(det.Outcome.Receivers))
 	for _, t := range det.Outcome.Receivers {
-		served = append(served, m.rd.Station(t))
+		r := m.rd.Station(t)
+		served = append(served, r)
+		shares[r] = det.Outcome.Shares[t]
 	}
-	sort.Ints(served)
-	if len(served) == 0 {
-		return Result{}, nil, false
-	}
-	if len(served) < len(active) {
-		// The inner mechanism dropped someone: restart the outer loop on
-		// the smaller set so the reduction, orientation and shares are
-		// all rebuilt consistently.
-		drop := diffSorted(active, served)
-		return Result{}, drop, false
-	}
-	shares := make(map[int]float64, len(served))
-	for _, t := range det.Outcome.Receivers {
-		shares[m.rd.Station(t)] = det.Outcome.Shares[t]
-	}
+	slices.Sort(served)
 	ex := m.rd.Extract(det.Nodes, served)
 	down := ex.DownstreamReceivers(m.Net.N(), served)
 	// Step (c): walk stations backward along the BFS enumeration; any
 	// station transmitting more than the NWST solution paid for charges
 	// its full power equally to its downstream receivers.
-	var dropped []int
 	for i := len(ex.Order) - 1; i >= 0; i-- {
 		xi := ex.Order[i]
 		if ex.Pi[xi] <= ex.PiNWST[xi]+eps {
@@ -179,14 +156,15 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 			continue // nothing downstream to charge; power stays covered by cost recovery of the tree
 		}
 		slice := ex.Pi[xi] / float64(len(ni))
+		var drop []int
 		for _, xj := range ni {
 			if u[xj]-shares[xj] < slice-eps {
-				dropped = append(dropped, xj)
+				drop = append(drop, m.rd.In[xj])
 			}
 		}
-		if len(dropped) > 0 {
-			sort.Ints(dropped)
-			return Result{}, dropped, false
+		if len(drop) > 0 {
+			slices.Sort(drop)
+			return Result{}, drop, false
 		}
 		for _, xj := range ni {
 			shares[xj] += slice
@@ -200,22 +178,6 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 		},
 		Assignment: ex.Pi,
 	}, nil, true
-}
-
-// diffSorted returns the elements of a (sorted) not present in b (sorted).
-func diffSorted(a, b []int) []int {
-	var out []int
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j < len(b) && b[j] == x {
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
 }
 
 // BetaBound returns the nominal budget-balance guarantee 3·ln(k+1) for k

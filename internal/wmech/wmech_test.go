@@ -3,11 +3,15 @@ package wmech
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"wmcs/internal/instances"
 	"wmcs/internal/mech"
+	"wmcs/internal/memtred"
 	"wmcs/internal/nwst"
+	"wmcs/internal/nwstmech"
 	"wmcs/internal/wireless"
 )
 
@@ -123,12 +127,153 @@ func TestBetaBound(t *testing.T) {
 	}
 }
 
-func TestDiffSorted(t *testing.T) {
-	got := diffSorted([]int{1, 2, 3, 5, 8}, []int{2, 5})
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 8 {
-		t.Errorf("diffSorted = %v", got)
+// refRunDetailed is the nested loop RunDetailed replaced, kept as its
+// reference: every outer attempt runs a fresh NWST mechanism over the
+// active receivers to completion and restarts on the survivors whenever
+// that run dropped anyone; otherwise step (c) applies to its tree, and
+// whoever cannot pay a surcharge drops before the next outer attempt.
+// It also returns how many outer attempts step (c) ended.
+func refRunDetailed(rd *memtred.Reduction, oracle nwst.Oracle, u mech.Profile) (Result, int) {
+	nw := rd.Net
+	active := nw.AllReceivers()
+	surcharged := 0
+	for len(active) > 0 {
+		uh := make(mech.Profile, rd.G.N())
+		for _, r := range active {
+			uh[rd.In[r]] = u[r]
+		}
+		det := nwstmech.New(rd.Instance(active), oracle).RunDetailed(uh)
+		var served []int
+		shares := map[int]float64{}
+		for _, t := range det.Outcome.Receivers {
+			served = append(served, rd.Station(t))
+			shares[rd.Station(t)] = det.Outcome.Shares[t]
+		}
+		sort.Ints(served)
+		if len(served) == 0 {
+			break
+		}
+		if len(served) < len(active) {
+			active = served
+			continue
+		}
+		ex := rd.Extract(det.Nodes, served)
+		down := ex.DownstreamReceivers(nw.N(), served)
+		var dropped []int
+		for i := len(ex.Order) - 1; i >= 0 && len(dropped) == 0; i-- {
+			xi := ex.Order[i]
+			ni := down[xi]
+			if ex.Pi[xi] <= ex.PiNWST[xi]+eps || len(ni) == 0 {
+				continue
+			}
+			slice := ex.Pi[xi] / float64(len(ni))
+			for _, xj := range ni {
+				if u[xj]-shares[xj] < slice-eps {
+					dropped = append(dropped, xj)
+				}
+			}
+			if len(dropped) == 0 {
+				for _, xj := range ni {
+					shares[xj] += slice
+				}
+			}
+		}
+		if len(dropped) == 0 {
+			return Result{
+				Outcome:    mech.Outcome{Receivers: served, Shares: shares, Cost: ex.Pi.Total()},
+				Assignment: ex.Pi,
+			}, surcharged
+		}
+		surcharged++
+		var keep []int
+		for _, r := range active {
+			if !slices.Contains(dropped, r) {
+				keep = append(keep, r)
+			}
+		}
+		active = keep
 	}
-	if diffSorted(nil, []int{1}) != nil {
-		t.Error("empty diff should be nil")
+	return Result{
+		Outcome:    mech.Outcome{Shares: map[int]float64{}},
+		Assignment: make(wireless.Assignment, nw.N()),
+	}, surcharged
+}
+
+// sameResult reports bitwise equality of receivers, shares, cost and
+// assignment.
+func sameResult(a, b Result) bool {
+	if !slices.Equal(a.Outcome.Receivers, b.Outcome.Receivers) ||
+		math.Float64bits(a.Outcome.Cost) != math.Float64bits(b.Outcome.Cost) ||
+		len(a.Outcome.Shares) != len(b.Outcome.Shares) ||
+		len(a.Assignment) != len(b.Assignment) {
+		return false
+	}
+	for r, s := range a.Outcome.Shares {
+		if t, ok := b.Outcome.Shares[r]; !ok || math.Float64bits(s) != math.Float64bits(t) {
+			return false
+		}
+	}
+	for i := range a.Assignment {
+		if math.Float64bits(a.Assignment[i]) != math.Float64bits(b.Assignment[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunDetailedMatchesNestedLoop pins the one restart loop bitwise to
+// the nested loop it replaced, over seeded uniform-workload queries
+// folded into R the way serving folds them, on both spider oracles, with
+// the trajectory memo on and off. One mechanism per configuration
+// serves every query of its network, so memo replays across queries are
+// covered too.
+func TestRunDetailedMatchesNestedLoop(t *testing.T) {
+	uniform, err := instances.WorkloadByName("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perNetwork = 24
+	surcharged := 0
+	for _, scenario := range []string{"uniform", "symmetric", "clustered"} {
+		for _, n := range []int{6, 8, 10} {
+			nw, err := instances.Spec{Scenario: scenario, N: n, Alpha: 2, Seed: int64(n)}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd := memtred.New(nw)
+			sampler := uniform.New(rand.New(rand.NewSource(int64(n))), nw, instances.WorkloadOptions{})
+			profiles := make([]mech.Profile, perNetwork)
+			for i := range profiles {
+				q := sampler.Next()
+				profiles[i] = make(mech.Profile, n)
+				for _, r := range q.R {
+					profiles[i][r] = q.U[r]
+				}
+			}
+			for _, oracle := range []struct {
+				name string
+				o    nwst.Oracle
+			}{{"branch", nwst.BranchSpiderOracle}, {"klein-ravi", nwst.KleinRaviOracle}} {
+				memo := NewFromReduction(rd, oracle.o)
+				plain := NewFromReduction(rd, oracle.o)
+				plain.DisableMemo()
+				for i, u := range profiles {
+					want, s := refRunDetailed(rd, oracle.o, u)
+					surcharged += s
+					for _, m := range []struct {
+						name string
+						m    *Mechanism
+					}{{"memo", memo}, {"no memo", plain}} {
+						if got := m.m.RunDetailed(u); !sameResult(got, want) {
+							t.Fatalf("%s n=%d %s %s profile %d: RunDetailed diverges from the nested loop\ngot:  %+v\nwant: %+v",
+								scenario, n, oracle.name, m.name, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if surcharged == 0 {
+		t.Fatal("no step (c) drop in the sweep: it no longer covers the surcharge restart")
 	}
 }
