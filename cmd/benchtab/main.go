@@ -71,7 +71,8 @@ func main() {
 			}
 		}()
 	}
-	cfg := experiments.Config{Quick: *quick, Workers: *parallel}
+	workers, _ := cliutil.Width("-parallel", *parallel)
+	cfg := experiments.Config{Quick: *quick, Workers: workers}
 	if onlyExp != nil {
 		tab := onlyExp.Run(cfg)
 		if *jsonOut {

@@ -121,6 +121,9 @@ func main() {
 	// Reject out-of-domain tuning flags instead of letting the workload
 	// layer silently substitute defaults — the report prints the
 	// requested values, so a clamp would mislabel the run's figures.
+	if *queries < 1 {
+		cliutil.Die("-queries must be >= 1 (got %d)", *queries)
+	}
 	if *zipfS <= 1 {
 		cliutil.Die("-zipf must be > 1 (got %g)", *zipfS)
 	}
