@@ -9,6 +9,7 @@ package wmcs
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wmcs/internal/euclid1"
@@ -304,6 +305,48 @@ func BenchmarkSpiderOracleBranch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := nwst.NewState(in)
 		nwst.BranchSpiderOracle(st, 3)
+	}
+}
+
+// BenchmarkSpiderOracleBranchContracted times the branch call serving
+// takes after a contraction: a pooled state on the uni12 network's
+// reduction, one Shrink past the pool's table of uncontracted rows, so
+// the call sweeps every live row itself. A state reuses its own rows
+// when it sees the contraction sequence it last swept, even across
+// Reset, so the iterations alternate two terminal sets whose first
+// spiders differ, and every timed call sweeps.
+func BenchmarkSpiderOracleBranchContracted(b *testing.B) {
+	nw, err := instances.Spec{Scenario: "uniform", N: 12, Alpha: 2, Seed: 11}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := memtred.New(nw)
+	all := rd.Instance(nw.AllReceivers())
+	pool := nwst.NewStatePool(all)
+	first := func(in nwst.Instance) nwst.Spider {
+		sp, ok := nwst.BranchSpiderOracle(nwst.NewState(in), 3)
+		if !ok {
+			b.Fatal("no first spider")
+		}
+		return sp
+	}
+	sp0 := first(all)
+	less := rd.Instance(slices.DeleteFunc(nw.AllReceivers(), func(r int) bool { return rd.In[r] == sp0.Terms[len(sp0.Terms)-1] }))
+	sets := []nwst.Instance{all, less}
+	spiders := []nwst.Spider{sp0, first(less)}
+	if slices.Equal(spiders[0].Nodes, spiders[1].Nodes) {
+		b.Fatal("both terminal sets contract the same first spider")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		in := sets[i%2]
+		st := pool.Get(in.Terminals, in.Free)
+		st.Shrink(spiders[i%2])
+		b.StartTimer()
+		nwst.BranchSpiderOracle(st, 3)
+		pool.Put(st)
 	}
 }
 

@@ -15,6 +15,7 @@ package memtred
 
 import (
 	"sort"
+	"sync"
 
 	"wmcs/internal/graph"
 	"wmcs/internal/nwst"
@@ -35,6 +36,12 @@ type Reduction struct {
 	OutNodes [][]int
 	// station[v] maps every H node back to its station.
 	station []int
+	// chains is H's station-chain description for the node-weighted
+	// sweep, derived on the first Chains call: never by New or Rebuild,
+	// so the PATCH warm, which rebuilds the reduction and every built
+	// mechanism, does not pay for it.
+	chainsOnce sync.Once
+	chains     *nwst.Chains
 }
 
 // New builds the reduction graph for all stations of the network.
@@ -95,6 +102,21 @@ func New(nw *wireless.Network) *Reduction {
 // Station returns the station owning H node v.
 func (rd *Reduction) Station(v int) int { return rd.station[v] }
 
+// Chains implements nwst.ChainSource: H's station-chain description,
+// derived from G's adjacency lists on the first call and shared by every
+// later one, so New and Rebuild reductions are described by the same
+// code. A State asks for it when it is built. It is nil only if G does
+// not fit the layout, which New and Rebuild rule out; the sweep then
+// scans every edge, with the same results.
+func (rd *Reduction) Chains() *nwst.Chains {
+	rd.chainsOnce.Do(func() {
+		if c, err := nwst.DescribeChains(rd.G, rd.Weights, len(rd.In)); err == nil {
+			rd.chains = c
+		}
+	})
+	return rd.chains
+}
+
 // Instance returns the NWST instance for receivers R: terminals are the
 // input nodes of R and of the source, with the source marked free (it
 // must be connected but never pays, per §2.2.3).
@@ -107,7 +129,7 @@ func (rd *Reduction) Instance(R []int) nwst.Instance {
 		terms = append(terms, rd.In[r])
 		free = append(free, false)
 	}
-	return nwst.Instance{G: rd.G, Weights: rd.Weights, Terminals: terms, Free: free}
+	return nwst.Instance{G: rd.G, Weights: rd.Weights, Terminals: terms, Free: free, Chains: rd}
 }
 
 // Extraction is the wireless realization of an NWST solution.

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"wmcs/internal/graph"
+	"wmcs/internal/mech"
+	"wmcs/internal/nwst"
+	"wmcs/internal/nwstmech"
 	"wmcs/internal/wireless"
 )
 
@@ -115,5 +118,41 @@ func TestRebuildRejectsDegenerateDirtySets(t *testing.T) {
 	}
 	if Rebuild(nil, nw, all) != nil {
 		t.Fatal("Rebuild accepted a nil donor")
+	}
+}
+
+// TestChainsLazy pins when a reduction derives its chain description
+// for the node-weighted sweep: not in New or Rebuild, not when an
+// instance, the NWST mechanism or a state pool is built over it — all of
+// which the PATCH warm does — but when the first State is built, once,
+// after which every State shares it.
+func TestChainsLazy(t *testing.T) {
+	nw := randSym(7, 3)
+	prev := New(nw)
+	work := nw.Snapshot()
+	if _, err := work.SetCost(1, 2, work.C(1, 2)*1.1); err != nil {
+		t.Fatal(err)
+	}
+	rb := Rebuild(prev, work, work.TakeDelta().DirtyRows)
+	if rb == nil {
+		t.Fatal("Rebuild fell back to New")
+	}
+	for name, rd := range map[string]*Reduction{"new": prev, "rebuild": rb} {
+		in := rd.Instance(rd.Net.AllReceivers())
+		nwstmech.NewMemoized(in, nil)
+		nwst.NewStatePool(in)
+		if rd.chains != nil {
+			t.Fatalf("%s: described before any State was built", name)
+		}
+		nwst.NewState(in)
+		c := rd.chains
+		if c == nil {
+			t.Fatalf("%s: a State was built without describing the reduction", name)
+		}
+		nwst.NewState(rd.Instance([]int{1, 2}))
+		nwstmech.New(in, nil).Run(make(mech.Profile, rd.G.N()))
+		if rd.chains != c || rd.Chains() != c {
+			t.Fatalf("%s: the reduction was described twice", name)
+		}
 	}
 }

@@ -86,7 +86,7 @@ func TestStatePoolDifferential(t *testing.T) {
 		"branch/w1": BranchSpiderOracle,
 		"branch/w4": BranchSpiderOracleOn(wide),
 	} {
-		pool := NewStatePool(in.G, in.Weights)
+		pool := NewStatePool(in)
 		for round := 0; round < 3; round++ {
 			for i, set := range sets {
 				want := runGreedy(t, NewState(set), oracle)

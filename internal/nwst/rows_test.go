@@ -23,7 +23,7 @@ func TestStatePoolRowTable(t *testing.T) {
 		name   string
 		oracle Oracle
 	}{{"kr", KleinRaviOracle}, {"branch", BranchSpiderOracle}} {
-		pool := NewStatePool(in.G, in.Weights)
+		pool := NewStatePool(in)
 		if pool.rows.dists != nil || pool.rows.parents != nil {
 			t.Fatalf("%s: table filled by NewStatePool", o.name)
 		}
@@ -87,7 +87,7 @@ func TestStatePoolConcurrentFill(t *testing.T) {
 		sets[i] = withFreeSource(Instance{G: in.G, Weights: in.Weights, Terminals: terms})
 		want[i] = runGreedy(t, NewState(sets[i]), naiveBranchSpider)
 	}
-	pool := NewStatePool(in.G, in.Weights)
+	pool := NewStatePool(in)
 	got := make([][]Spider, queries)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -128,7 +128,7 @@ func TestStateRowReuse(t *testing.T) {
 		calls int
 	}{{in, 2}, {in, 2}, {in, 3}, {less, 2}, {less, 2}, {in, 1}, {in, 1}, {in, 2}, {in, 3}}
 	for _, pooled := range []bool{false, true} {
-		pool := NewStatePool(in.G, in.Weights)
+		pool := NewStatePool(in)
 		var st *State
 		hits, misses := 0, 0
 		for a, at := range attempts {

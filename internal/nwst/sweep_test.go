@@ -1,6 +1,7 @@
 package nwst
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -80,7 +81,9 @@ func sameBits(a, b []float64) bool {
 // from every vertex (dead ones included), exhaustive and stopped after
 // one, two and all paying terminals. The graphs are random, with real,
 // integer (many ties) and subnormal weights, and each is compared
-// before and after every Shrink of a greedy run.
+// before and after every Shrink of a greedy run. Random graphs have no
+// chain description; reduction_test.go runs the same check on
+// reduction graphs, whose sweeps go through theirs.
 func TestSweepMatchesDecreaseKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 60; trial++ {
@@ -91,29 +94,37 @@ func TestSweepMatchesDecreaseKey(t *testing.T) {
 		case 2:
 			in = subnormalWeights(in)
 		}
-		st := NewState(in)
-		for step := 0; ; step++ {
-			n := st.g.N()
-			paying := len(st.PayingTerminals())
-			dist, parent := make([]float64, n), make([]int32, n)
-			for src := 0; src < n; src++ {
-				for _, stop := range []int{-1, 1, 2, paying} {
-					st.dijkstra(&st.sc, src, dist, parent, stop)
-					wantDist, wantParent := refDijkstra(st, src, stop)
-					if !sameBits(dist, wantDist) || !slices.Equal(parent, wantParent) {
-						t.Fatalf("trial %d step %d src %d stop %d:\ndist   %v\nwant   %v\nparent %v\nwant   %v",
-							trial, step, src, stop, dist, wantDist, parent, wantParent)
-					}
+		checkSweeps(t, fmt.Sprintf("trial %d", trial), NewState(in))
+	}
+}
+
+// checkSweeps runs a branch-oracle greedy on st and, before and after
+// every Shrink, compares the sweep from every vertex with refDijkstra
+// over whole rows, exhaustive and stopped after one, two and all paying
+// terminals.
+func checkSweeps(t *testing.T, label string, st *State) {
+	t.Helper()
+	for step := 0; ; step++ {
+		n := st.g.N()
+		paying := len(st.PayingTerminals())
+		dist, parent := make([]float64, n), make([]int32, n)
+		for src := 0; src < n; src++ {
+			for _, stop := range []int{-1, 1, 2, paying} {
+				st.dijkstra(&st.sc, src, dist, parent, stop)
+				wantDist, wantParent := refDijkstra(st, src, stop)
+				if !sameBits(dist, wantDist) || !slices.Equal(parent, wantParent) {
+					t.Fatalf("%s step %d src %d stop %d:\ndist   %v\nwant   %v\nparent %v\nwant   %v",
+						label, step, src, stop, dist, wantDist, parent, wantParent)
 				}
 			}
-			if len(st.LiveTerminals()) <= 2 {
-				break
-			}
-			sp, ok := BranchSpiderOracle(st, min(3, paying))
-			if !ok {
-				break
-			}
-			st.Shrink(sp)
 		}
+		if len(st.LiveTerminals()) <= 2 {
+			return
+		}
+		sp, ok := BranchSpiderOracle(st, min(3, paying))
+		if !ok {
+			return
+		}
+		st.Shrink(sp)
 	}
 }

@@ -64,7 +64,7 @@ func New(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
 	if oracle == nil {
 		oracle = nwst.BranchSpiderOracle
 	}
-	m := &Mechanism{inst: inst, oracle: oracle, pool: nwst.NewStatePool(inst.G, inst.Weights)}
+	m := &Mechanism{inst: inst, oracle: oracle, pool: nwst.NewStatePool(inst)}
 	for ti, t := range inst.Terminals {
 		if inst.Free != nil && inst.Free[ti] {
 			m.freeTerms = append(m.freeTerms, t)
