@@ -39,7 +39,7 @@ func TestREADMEMechanismTableInSync(t *testing.T) {
 }
 
 // TestFacadeRegistrySurface pins the public registry surface: the name
-// constants resolve through ByName, Mechanisms() mirrors the registry,
+// constants resolve through ByName and Describe, Mechanisms() mirrors the registry,
 // SupportedMechanisms matches the evaluator's accept set, and the typed
 // errors surface through the façade.
 func TestFacadeRegistrySurface(t *testing.T) {
@@ -71,6 +71,13 @@ func TestFacadeRegistrySurface(t *testing.T) {
 	}
 	if m := WirelessBudgetBalanced(nw); m.Name() != MechWirelessBB {
 		t.Errorf("WirelessBudgetBalanced(nw).Name() = %q", m.Name())
+	}
+	// Describe returns the registry's descriptor, the one Verify reads.
+	if info, err := Describe(MechUniversalMC); err != nil || info.Name != MechUniversalMC {
+		t.Errorf("Describe(universal-mc) = %q, %v", info.Name, err)
+	}
+	if _, err := Describe("bogus"); !errors.Is(err, ErrUnknownMechanism) {
+		t.Errorf("Describe(bogus) = %v, want ErrUnknownMechanism", err)
 	}
 	// Typed errors through ByName.
 	if _, err := ByName("bogus", nw); !errors.Is(err, ErrUnknownMechanism) {

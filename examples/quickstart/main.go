@@ -43,7 +43,12 @@ func main() {
 	}
 	fmt.Printf("solution cost: %.3f, collected: %.3f (budget balanced)\n",
 		o.Cost, o.TotalShares())
-	if err := wmcs.Verify(u, o); err != nil {
+	// Verify checks the axioms the mechanism's descriptor declares.
+	info, err := wmcs.Describe(wmcs.MechUniversalShapley)
+	if err != nil {
+		panic(err)
+	}
+	if err := wmcs.Verify(info, u, o); err != nil {
 		fmt.Println("axiom violation:", err)
 	} else {
 		fmt.Println("axioms: NPT, VP, cost recovery all hold")

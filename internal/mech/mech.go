@@ -232,17 +232,6 @@ func CheckGroupStrategyproof(m Mechanism, truth Profile, rng *rand.Rand, coaliti
 	return nil
 }
 
-// CheckAll bundles NPT, VP and cost recovery for a single outcome.
-func CheckAll(u Profile, o Outcome) error {
-	if err := CheckNPT(o); err != nil {
-		return err
-	}
-	if err := CheckVP(u, o); err != nil {
-		return err
-	}
-	return CheckCostRecovery(o)
-}
-
 // UniformProfile returns a profile with every agent at utility val.
 func UniformProfile(n int, val float64) Profile {
 	u := make(Profile, n)

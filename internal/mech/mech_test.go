@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -42,7 +43,7 @@ func TestOutcomeHelpers(t *testing.T) {
 func TestAxiomCheckers(t *testing.T) {
 	good := Outcome{Receivers: []int{0}, Shares: map[int]float64{0: 1}, Cost: 1}
 	u := Profile{2}
-	if err := CheckAll(u, good); err != nil {
+	if err := errors.Join(CheckNPT(good), CheckVP(u, good), CheckCostRecovery(good)); err != nil {
 		t.Errorf("good outcome rejected: %v", err)
 	}
 	if err := CheckNPT(Outcome{Shares: map[int]float64{0: -1}}); err == nil {

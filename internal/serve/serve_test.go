@@ -13,6 +13,7 @@ import (
 
 	"wmcs/internal/instances"
 	"wmcs/internal/mech"
+	"wmcs/internal/mechreg"
 	"wmcs/internal/obs"
 )
 
@@ -533,7 +534,11 @@ func TestOutcomeSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mech.CheckAll(c.Profile, o); err != nil {
+	d, err := mechreg.ByName(c.Mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Guarantees.CheckOutcome(c.Profile, o); err != nil {
 		t.Fatalf("served outcome violates axioms: %v", err)
 	}
 }

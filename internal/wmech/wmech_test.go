@@ -1,6 +1,7 @@
 package wmech
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -32,7 +33,7 @@ func TestRichProfileServesEveryoneFeasibly(t *testing.T) {
 		if math.Abs(res.Assignment.Total()-o.Cost) > 1e-9 {
 			t.Fatalf("trial %d: cost field inconsistent", trial)
 		}
-		if err := mech.CheckAll(u, o); err != nil {
+		if err := errors.Join(mech.CheckNPT(o), mech.CheckVP(u, o), mech.CheckCostRecovery(o)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

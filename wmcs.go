@@ -274,8 +274,18 @@ func OptimalCost(nw *Network, R []int) float64 {
 	return wireless.OptimalMulticastCost(nw, R)
 }
 
-// Verify checks NPT, VP and cost recovery of an outcome under a profile.
-func Verify(u Profile, o Outcome) error { return mech.CheckAll(u, o) }
+// Describe returns the registry descriptor of the named mechanism, the
+// MechanismInfo Verify checks an outcome against; unknown names wrap
+// ErrUnknownMechanism.
+func Describe(name string) (MechanismInfo, error) { return mechreg.ByName(name) }
+
+// Verify checks an outcome under a profile against the per-outcome
+// axioms the mechanism's descriptor declares: NPT and VP where declared,
+// and cost recovery only for mechanisms with a budget-balance guarantee,
+// so a marginal-cost outcome's deficit is not a violation.
+func Verify(info MechanismInfo, u Profile, o Outcome) error {
+	return info.Guarantees.CheckOutcome(u, o)
+}
 
 // VerifyStrategyproof probes the mechanism with the default deviation
 // factors around the given truthful profile.

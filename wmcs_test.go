@@ -61,14 +61,16 @@ func TestByNameAllMechanismsRun(t *testing.T) {
 			u[i] = rng.Float64() * 50
 		}
 		o := m.Run(u)
-		isMC := name == "universal-mc" || name == "alpha1-mc" || name == "line-mc"
-		if !isMC && len(o.Receivers) > 0 {
-			// Budget-balanced family: full axiom bundle incl. cost recovery.
-			if err := Verify(u, o); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+		info, err := Describe(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if isMC && o.TotalShares() > o.Cost+1e-7 {
+		// The declared axioms: cost recovery only where a budget-balance
+		// guarantee is declared.
+		if err := Verify(info, u, o); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if info.Guarantees.Efficient && o.TotalShares() > o.Cost+1e-7 {
 			// Efficient family: may run a deficit but never a surplus.
 			t.Fatalf("%s collected a surplus: %g > %g", name, o.TotalShares(), o.Cost)
 		}
