@@ -49,6 +49,9 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON (one object per line)")
 	)
 	cliutil.Parse()
+	if *batch < 1 {
+		cliutil.Die("-batch must be >= 1 (got %d)", *batch)
+	}
 	if *list {
 		// The listing is registry-driven: names, domains and guarantees
 		// all come from the mechanism descriptor registry, so this

@@ -115,12 +115,12 @@ func main() {
 			*updates = 6
 		}
 	}
-	if *parallel < 1 {
-		*parallel = 1
-	}
 	// Reject out-of-domain tuning flags instead of letting the workload
 	// layer silently substitute defaults — the report prints the
 	// requested values, so a clamp would mislabel the run's figures.
+	if *parallel < 1 {
+		cliutil.Die("-parallel must be >= 1 (got %d)", *parallel)
+	}
 	if *queries < 1 {
 		cliutil.Die("-queries must be >= 1 (got %d)", *queries)
 	}
