@@ -7,6 +7,7 @@ package wmcs
 // and the serial-vs-parallel RunAll pair exposing the engine speedup.
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -279,6 +280,53 @@ func BenchmarkMoats32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		jv.Moats(nw, R, nil)
+	}
+}
+
+// reductionFixture is the count ledger's kernel fixture for the
+// MEMT→NWST reduction at n stations: the symmetric network of seed 1,
+// and a copy after one SetCost that dirties rows 1 and 2.
+func reductionFixture(b *testing.B, n int) (nw, work *wireless.Network, dirty []bool) {
+	nw, err := instances.Spec{Scenario: "symmetric", N: n, Alpha: 2, Seed: 1}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	work = nw.Snapshot()
+	if _, err := work.SetCost(1, 2, work.C(1, 2)*1.1); err != nil {
+		b.Fatal(err)
+	}
+	return nw, work, work.TakeDelta().DirtyRows
+}
+
+// BenchmarkReductionNew times memtred.New, the reduction graph H with its
+// chain description, on the ledger's fixtures.
+func BenchmarkReductionNew(b *testing.B) {
+	for _, n := range []int{12, 48} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			nw, _, _ := reductionFixture(b, n)
+			b.ReportAllocs()
+			for b.Loop() {
+				memtred.New(nw)
+			}
+		})
+	}
+}
+
+// BenchmarkReductionRebuild times memtred.Rebuild after the fixture's one
+// SetCost, with New's reduction of the network before it as the donor.
+func BenchmarkReductionRebuild(b *testing.B) {
+	for _, n := range []int{12, 48} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			nw, work, dirty := reductionFixture(b, n)
+			prev := memtred.New(nw)
+			if memtred.Rebuild(prev, work, dirty) == nil {
+				b.Fatal("memtred.Rebuild fell back to New")
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				memtred.Rebuild(prev, work, dirty)
+			}
+		})
 	}
 }
 

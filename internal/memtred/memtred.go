@@ -14,8 +14,8 @@
 package memtred
 
 import (
+	"slices"
 	"sort"
-	"sync"
 
 	"wmcs/internal/graph"
 	"wmcs/internal/nwst"
@@ -36,86 +36,163 @@ type Reduction struct {
 	OutNodes [][]int
 	// station[v] maps every H node back to its station.
 	station []int
-	// chains is H's station-chain description for the node-weighted
-	// sweep, derived on the first Chains call: never by New or Rebuild,
-	// so the PATCH warm, which rebuilds the reduction and every built
-	// mechanism, does not pay for it.
-	chainsOnce sync.Once
-	chains     *nwst.Chains
+	// thr[j*n+i] is the first level of station i that reaches station j
+	// (0 for i == j): G's layout, from which build derives every list
+	// and chains is described.
+	thr    []int32
+	chains *nwst.Chains
 }
 
 // New builds the reduction graph for all stations of the network.
-func New(nw *wireless.Network) *Reduction {
+func New(nw *wireless.Network) *Reduction { return build(nw, nil, nil) }
+
+// build lays out H for nw. Station i's levels are its distinct costs
+// ascending, and since c(i, j) is one of them, the first level that
+// reaches station j, thr(i, j), is found by binary search. Inputs are
+// nodes 0..n−1 and each station's outputs follow in station order, so
+// the layout is a function of the cost rows, and everything else is read
+// off it:
+//   - output (i, m) lists In(i), then each In(j), j ≠ i ascending, with
+//     thr(i, j) ≤ m;
+//   - input j lists each station's outputs from thr(i, j) on, in station
+//     order (all of its own station's outputs);
+//   - the sweep's chain description (nwst.NewChains).
+//
+// With a donor prev, only the stations marked in dirty are laid out
+// again: a clean station's levels, its column of the table and its
+// output lists are prev's, since they depend only on its own cost row,
+// and input j's list is prev's when row j of the table did not move. It
+// returns nil when a dirty station's level count changed, since the
+// output ids after it would shift. Shared lists are safe because a
+// reduction is immutable once built: every consumer that mutates (the
+// NWST contraction state) works on a Clone.
+func build(nw *wireless.Network, prev *Reduction, dirty []bool) *Reduction {
 	n := nw.N()
-	rd := &Reduction{Net: nw, In: make([]int, n), OutNodes: make([][]int, n)}
-	var weights []float64
-	var station []int
-	addNode := func(st int, w float64) int {
-		weights = append(weights, w)
-		station = append(station, st)
-		return len(weights) - 1
+	reused := func(i int) bool { return prev != nil && !dirty[i] }
+	rd := &Reduction{Net: nw, thr: make([]int32, n*n)}
+	if prev != nil {
+		copy(rd.thr, prev.thr)
 	}
-	// Input nodes first.
+	// levels[i] holds the levels of every station laid out again.
+	levels := make([][]float64, n)
+	costs := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		rd.In[i] = addNode(i, 0)
-	}
-	// Output nodes: one per distinct cost.
-	type outLevel struct {
-		id   int
-		cost float64
-	}
-	outLevels := make([][]outLevel, n)
-	for i := 0; i < n; i++ {
-		costs := make([]float64, 0, n-1)
+		if reused(i) {
+			continue
+		}
+		lv := costs[i*n : i*n]
 		for j := 0; j < n; j++ {
 			if j != i {
-				costs = append(costs, nw.C(i, j))
+				lv = append(lv, nw.C(i, j))
 			}
 		}
-		sort.Float64s(costs)
-		for m, c := range costs {
-			if m > 0 && costs[m-1] == c {
-				continue
+		slices.Sort(lv)
+		lv = slices.Compact(lv)
+		if prev != nil && len(lv) != len(prev.OutNodes[i]) {
+			return nil
+		}
+		for j := 0; j < n; j++ {
+			if j != i {
+				t, _ := slices.BinarySearch(lv, nw.C(i, j))
+				rd.thr[j*n+i] = int32(t)
 			}
-			id := addNode(i, c)
-			rd.OutNodes[i] = append(rd.OutNodes[i], id)
-			outLevels[i] = append(outLevels[i], outLevel{id: id, cost: c})
+		}
+		levels[i] = lv
+	}
+
+	// A donor's level counts are the layout's: the dirty stations kept
+	// theirs.
+	first := make([]int32, n+1)
+	first[0] = int32(n)
+	for i := 0; i < n; i++ {
+		count := len(levels[i])
+		if prev != nil {
+			count = len(prev.OutNodes[i])
+		}
+		first[i+1] = first[i] + int32(count)
+	}
+	N := int(first[n])
+	if prev != nil {
+		rd.In, rd.OutNodes, rd.station = prev.In, prev.OutNodes, prev.station
+		rd.Weights = slices.Clone(prev.Weights)
+	} else {
+		ids := make([]int, N)
+		for v := range ids {
+			ids[v] = v
+		}
+		rd.In, rd.OutNodes = ids[:n:n], make([][]int, n)
+		rd.station, rd.Weights = make([]int, N), make([]float64, N)
+		for i := 0; i < n; i++ {
+			a, b := first[i], first[i+1]
+			rd.OutNodes[i] = ids[a:b:b]
+			rd.station[i] = i
+			for v := a; v < b; v++ {
+				rd.station[v] = i
+			}
 		}
 	}
-	g := graph.New(len(weights))
-	for i := 0; i < n; i++ {
-		for _, ol := range outLevels[i] {
-			g.AddEdge(rd.In[i], ol.id, 0)
+	for i, lv := range levels {
+		copy(rd.Weights[first[i]:first[i+1]], lv)
+	}
+
+	adj := make([][]graph.Edge, N)
+	m := 0 // every edge of H has exactly one output endpoint
+	for i, outs := range rd.OutNodes {
+		if reused(i) {
+			for _, v := range outs {
+				adj[v] = prev.G.Neighbors(v)
+				m += len(adj[v])
+			}
+			continue
+		}
+		size := len(outs)
+		for j := 0; j < n; j++ {
+			if j != i {
+				size += len(outs) - int(rd.thr[j*n+i])
+			}
+		}
+		edges := make([]graph.Edge, 0, size)
+		for lvl, v := range outs {
+			start := len(edges)
+			edges = append(edges, graph.Edge{From: v, To: i})
 			for j := 0; j < n; j++ {
-				if j != i && ol.cost >= nw.C(i, j) {
-					g.AddEdge(ol.id, rd.In[j], 0)
+				if j != i && int(rd.thr[j*n+i]) <= lvl {
+					edges = append(edges, graph.Edge{From: v, To: j})
 				}
 			}
+			adj[v] = edges[start:len(edges):len(edges)]
 		}
+		m += size
 	}
-	rd.G = g
-	rd.Weights = weights
-	rd.station = station
+	for j := 0; j < n; j++ {
+		row := rd.thr[j*n : (j+1)*n]
+		if prev != nil && slices.Equal(row, prev.thr[j*n:(j+1)*n]) {
+			adj[j] = prev.G.Neighbors(j)
+			continue
+		}
+		size := 0
+		for i, t := range row {
+			size += len(rd.OutNodes[i]) - int(t)
+		}
+		l := make([]graph.Edge, 0, size)
+		for i, t := range row {
+			for _, v := range rd.OutNodes[i][t:] {
+				l = append(l, graph.Edge{From: j, To: v})
+			}
+		}
+		adj[j] = l
+	}
+	rd.G = graph.Assemble(adj, m)
+	rd.chains = nwst.NewChains(first, rd.thr)
 	return rd
 }
 
 // Station returns the station owning H node v.
 func (rd *Reduction) Station(v int) int { return rd.station[v] }
 
-// Chains implements nwst.ChainSource: H's station-chain description,
-// derived from G's adjacency lists on the first call and shared by every
-// later one, so New and Rebuild reductions are described by the same
-// code. A State asks for it when it is built. It is nil only if G does
-// not fit the layout, which New and Rebuild rule out; the sweep then
-// scans every edge, with the same results.
-func (rd *Reduction) Chains() *nwst.Chains {
-	rd.chainsOnce.Do(func() {
-		if c, err := nwst.DescribeChains(rd.G, rd.Weights, len(rd.In)); err == nil {
-			rd.chains = c
-		}
-	})
-	return rd.chains
-}
+// Chains returns H's station-chain description for the node-weighted
+// sweep, built with the reduction.
+func (rd *Reduction) Chains() *nwst.Chains { return rd.chains }
 
 // Instance returns the NWST instance for receivers R: terminals are the
 // input nodes of R and of the source, with the source marked free (it
@@ -129,7 +206,7 @@ func (rd *Reduction) Instance(R []int) nwst.Instance {
 		terms = append(terms, rd.In[r])
 		free = append(free, false)
 	}
-	return nwst.Instance{G: rd.G, Weights: rd.Weights, Terminals: terms, Free: free, Chains: rd}
+	return nwst.Instance{G: rd.G, Weights: rd.Weights, Terminals: terms, Free: free, Chains: rd.chains}
 }
 
 // Extraction is the wireless realization of an NWST solution.

@@ -1,41 +1,148 @@
 package memtred
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"wmcs/internal/graph"
 	"wmcs/internal/instances"
 	"wmcs/internal/nwst"
 	"wmcs/internal/wireless"
 )
 
+// tiedSym builds a symmetric network of n stations whose costs are drawn
+// from {1..k}, so every row repeats costs and stations share levels.
+// With off set it also disables one station other than the source,
+// whose row then reads wireless.DisabledCost throughout, as the row of
+// a station that a churn model switched off does.
+func tiedSym(t *testing.T, rng *rand.Rand, n, k int, off bool) *wireless.Network {
+	t.Helper()
+	m := graph.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, float64(1+rng.Intn(k)))
+		}
+	}
+	nw := wireless.NewSymmetric(m, 0)
+	if off {
+		if _, err := nw.SetStationEnabled(1+rng.Intn(n-1), false); err != nil {
+			t.Fatal(err)
+		}
+		nw.TakeDelta()
+	}
+	return nw
+}
+
+// tied is a tie-heavy network and the k its costs were drawn for.
+type tied struct {
+	nw *wireless.Network
+	k  int
+}
+
+// tiedSyms returns tie-heavy networks: costs from {1..k} for k ∈ {1, 2,
+// 4}, n from 2 to 10, and each once more with a station disabled.
+func tiedSyms(t *testing.T, seed int64) []tied {
+	rng := rand.New(rand.NewSource(seed))
+	var out []tied
+	for _, k := range []int{1, 2, 4} {
+		for n := 2; n <= 10; n++ {
+			out = append(out, tied{tiedSym(t, rng, n, k, false), k}, tied{tiedSym(t, rng, n, k, true), k})
+		}
+	}
+	return out
+}
+
+// requirePaperRule checks rd against the §2.2.1 rule read off the cost
+// matrix, independently of how the reduction was built: station i's
+// output weights are row i's distinct costs ascending; output (i, m)
+// lists In(i), then each In(j), j ≠ i ascending, with Cᵐ_i ≥ c(i, j);
+// and input j lists, per station in order, the outputs whose weight
+// reaches it (c(j, j) = 0, so all of its own).
+func requirePaperRule(t *testing.T, label string, rd *Reduction) {
+	t.Helper()
+	nw, n := rd.Net, rd.Net.N()
+	edges, nodes := 0, n
+	for i := 0; i < n; i++ {
+		var levels, got []float64
+		for j := 0; j < n; j++ {
+			if j != i && !slices.Contains(levels, nw.C(i, j)) {
+				levels = append(levels, nw.C(i, j))
+			}
+		}
+		slices.Sort(levels)
+		for _, o := range rd.OutNodes[i] {
+			got = append(got, rd.Weights[o])
+		}
+		if !slices.Equal(got, levels) {
+			t.Fatalf("%s: station %d's output weights %v, its distinct costs %v", label, i, got, levels)
+		}
+		nodes += len(levels)
+		for _, o := range rd.OutNodes[i] {
+			want := []graph.Edge{{From: o, To: rd.In[i]}}
+			for j := 0; j < n; j++ {
+				if j != i && rd.Weights[o] >= nw.C(i, j) {
+					want = append(want, graph.Edge{From: o, To: rd.In[j]})
+				}
+			}
+			if got := rd.G.Neighbors(o); !slices.Equal(got, want) {
+				t.Fatalf("%s: output %d of station %d lists %v, want %v", label, o, i, got, want)
+			}
+			edges += len(want)
+		}
+	}
+	for j := 0; j < n; j++ {
+		var want []graph.Edge
+		for i := 0; i < n; i++ {
+			for _, o := range rd.OutNodes[i] {
+				if rd.Weights[o] >= nw.C(i, j) {
+					want = append(want, graph.Edge{From: rd.In[j], To: o})
+				}
+			}
+		}
+		if got := rd.G.Neighbors(rd.In[j]); !slices.Equal(got, want) {
+			t.Fatalf("%s: input of station %d lists %v, want %v", label, j, got, want)
+		}
+	}
+	if rd.G.N() != nodes || rd.G.M() != edges {
+		t.Fatalf("%s: %d nodes and %d edges, the rule makes %d and %d", label, rd.G.N(), rd.G.M(), nodes, edges)
+	}
+}
+
 func TestReductionStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	nw := instances.RandomEuclidean(rng, 5, 2, 2, 10)
-	rd := New(nw)
-	n := nw.N()
-	// n input nodes plus ≤ n−1 output nodes per station.
-	if got := rd.G.N(); got > n+n*(n-1) || got < 2*n {
-		t.Fatalf("node count %d out of range", got)
+	nets := []*wireless.Network{instances.RandomEuclidean(rng, 5, 2, 2, 10)}
+	for _, tn := range tiedSyms(t, 2) {
+		nets = append(nets, tn.nw)
 	}
-	for i := 0; i < n; i++ {
-		if rd.Weights[rd.In[i]] != 0 {
-			t.Errorf("input node of %d has weight %g", i, rd.Weights[rd.In[i]])
+	for k, nw := range nets {
+		rd := New(nw)
+		n := nw.N()
+		// n input nodes plus ≤ n−1 output nodes per station.
+		if got := rd.G.N(); got > n+n*(n-1) || got < 2*n {
+			t.Fatalf("network %d: node count %d out of range", k, got)
 		}
-		if rd.Station(rd.In[i]) != i {
-			t.Errorf("station mapping wrong for input %d", i)
-		}
-		prev := -1.0
-		for _, o := range rd.OutNodes[i] {
-			if rd.Station(o) != i {
-				t.Errorf("station mapping wrong for output of %d", i)
+		for i := 0; i < n; i++ {
+			if rd.Weights[rd.In[i]] != 0 {
+				t.Errorf("network %d: input node of %d has weight %g", k, i, rd.Weights[rd.In[i]])
 			}
-			if rd.Weights[o] <= prev {
-				t.Errorf("output weights of %d not strictly increasing", i)
+			if rd.Station(rd.In[i]) != i {
+				t.Errorf("network %d: station mapping wrong for input %d", k, i)
 			}
-			prev = rd.Weights[o]
+			prev := -1.0
+			for _, o := range rd.OutNodes[i] {
+				if rd.Station(o) != i {
+					t.Errorf("network %d: station mapping wrong for output of %d", k, i)
+				}
+				if rd.Weights[o] <= prev {
+					t.Errorf("network %d: output weights of %d not strictly increasing", k, i)
+				}
+				prev = rd.Weights[o]
+			}
 		}
+		requirePaperRule(t, fmt.Sprintf("network %d (n=%d)", k, n), rd)
 	}
 }
 

@@ -1,169 +1,30 @@
 package memtred
 
 import (
-	"sort"
+	"slices"
 
-	"wmcs/internal/graph"
 	"wmcs/internal/wireless"
 )
 
-// Rebuild constructs the reduction for nw by reusing prev wherever the
-// delta's row flags prove a station's cost row byte-unchanged, and
-// returns nil when no profitable reuse is possible (the caller falls
-// back to New). The result is structurally identical to New(nw) — same
-// node ids, same node weights, same adjacency lists in the same order,
-// same edge count — which TestRebuildMatchesNew pins by deep equality,
-// so every downstream consumer (instances, extraction, the wireless
-// mechanism) is byte-identical by construction.
-//
-// Why identity holds (DESIGN.md §12): New's layout is a pure function
-// of the cost rows. Input nodes are 0..n−1; output node ids are
-// allocated per station in order, one per distinct row cost ascending —
-// so as long as every *dirty* station keeps its distinct-cost count
-// (checked; else nil), the id layout is unchanged. An output node's
-// adjacency [own input first, then In(j) for qualifying j ascending]
-// depends only on its station's row, so clean stations' lists are
-// shared as-is and dirty stations' lists are rebuilt by the same scan.
-// An input node's list is a concatenation of per-station runs (its own
-// output nodes, then each other station's qualifying suffix); it is
-// shared when every dirty station's suffix threshold is unchanged and
-// reassembled run-by-run otherwise. Sharing slices with prev is safe
-// because reductions are immutable after construction: every consumer
-// that mutates (the NWST contraction state) works on a Clone.
+// Rebuild constructs the reduction for nw from prev, laying out again
+// only the stations whose cost rows the delta marks dirty: it is New's
+// construction (build) given a donor, which shares every adjacency list
+// whose thresholds did not move. It returns nil when no profitable
+// reuse is possible, and the caller falls back to New: no donor, a
+// different station count, no row dirty (the caller should keep prev)
+// or every row dirty (nothing to reuse), or a dirty station whose level
+// count changed (the output ids would shift). The result is New(nw)
+// node for node and list for list, which TestRebuildMatchesNew pins by
+// deep equality, so every consumer downstream (instances, extraction,
+// the wireless mechanism) is byte-identical by construction (DESIGN.md
+// §12.2).
 func Rebuild(prev *Reduction, nw *wireless.Network, dirtyRows []bool) *Reduction {
 	n := nw.N()
 	if prev == nil || prev.Net.N() != n || len(dirtyRows) != n {
 		return nil
 	}
-	var dirty []int
-	for i, d := range dirtyRows {
-		if d {
-			dirty = append(dirty, i)
-		}
-	}
-	if len(dirty) == 0 || len(dirty) == n {
-		// Nothing changed (caller should reuse prev wholesale) or
-		// everything did (nothing to reuse).
+	if !slices.Contains(dirtyRows, true) || !slices.Contains(dirtyRows, false) {
 		return nil
 	}
-	// New levels for dirty stations; the distinct-cost count must match
-	// prev or the output-node id layout shifts and nothing is reusable.
-	newLevels := make([][]float64, n)
-	for _, i := range dirty {
-		costs := make([]float64, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				costs = append(costs, nw.C(i, j))
-			}
-		}
-		sort.Float64s(costs)
-		lv := costs[:0]
-		for m, c := range costs {
-			if m > 0 && lv[len(lv)-1] == c {
-				continue
-			}
-			lv = append(lv, c)
-		}
-		if len(lv) != len(prev.OutNodes[i]) {
-			return nil
-		}
-		newLevels[i] = lv
-	}
-	// oldLevels reads station i's previous distinct costs off the node
-	// weights (prev.OutNodes is sorted by weight ascending).
-	oldLevel := func(i, k int) float64 { return prev.Weights[prev.OutNodes[i][k]] }
-
-	rd := &Reduction{Net: nw, In: prev.In, OutNodes: prev.OutNodes, station: prev.station}
-	weights := append([]float64(nil), prev.Weights...)
-	for _, i := range dirty {
-		for k, id := range prev.OutNodes[i] {
-			weights[id] = newLevels[i][k]
-		}
-	}
-	rd.Weights = weights
-
-	// suffixStart returns the index of the first level of station i that
-	// reaches station k, i.e. the start of i's run in In(k)'s adjacency.
-	// c(i, k) is itself a row-i cost, so it is present in the level list
-	// and the search is exact.
-	suffixStart := func(levels func(k int) float64, count int, c float64) int {
-		return sort.Search(count, func(t int) bool { return levels(t) >= c })
-	}
-
-	adj := make([][]graph.Edge, prev.G.N())
-	total := 0
-	// Output-node lists: shared for clean stations, rebuilt by New's
-	// exact scan ([own In, then qualifying In(j) ascending]) for dirty.
-	for i := 0; i < n; i++ {
-		if !dirtyRows[i] {
-			for _, id := range prev.OutNodes[i] {
-				l := prev.G.Neighbors(id)
-				adj[id] = l
-				total += len(l)
-			}
-			continue
-		}
-		for k, id := range prev.OutNodes[i] {
-			c := newLevels[i][k]
-			l := make([]graph.Edge, 0, n)
-			l = append(l, graph.Edge{From: id, To: rd.In[i]})
-			for j := 0; j < n; j++ {
-				if j != i && c >= nw.C(i, j) {
-					l = append(l, graph.Edge{From: id, To: rd.In[j]})
-				}
-			}
-			adj[id] = l
-			total += len(l)
-		}
-	}
-	// Input-node lists: In(k) holds its own output nodes (at station k's
-	// position in the station-order scan) and, for every other station
-	// i, the suffix of i's output nodes whose level reaches k. Only
-	// dirty stations' suffixes can move — entry c(i, k) is unchanged
-	// when row i is clean — so the whole list is shared when every dirty
-	// suffix threshold is stable.
-	for k := 0; k < n; k++ {
-		changed := false
-		for _, i := range dirty {
-			if i == k {
-				continue // the own-outputs run is all levels regardless
-			}
-			count := len(prev.OutNodes[i])
-			oldT := suffixStart(func(t int) float64 { return oldLevel(i, t) }, count, prev.Net.C(i, k))
-			newT := suffixStart(func(t int) float64 { return newLevels[i][t] }, count, nw.C(i, k))
-			if oldT != newT {
-				changed = true
-				break
-			}
-		}
-		if !changed {
-			l := prev.G.Neighbors(prev.In[k])
-			adj[prev.In[k]] = l
-			total += len(l)
-			continue
-		}
-		var l []graph.Edge
-		for i := 0; i < n; i++ {
-			if i == k {
-				for _, id := range rd.OutNodes[k] {
-					l = append(l, graph.Edge{From: rd.In[k], To: id})
-				}
-				continue
-			}
-			count := len(rd.OutNodes[i])
-			var t int
-			if dirtyRows[i] {
-				t = suffixStart(func(x int) float64 { return newLevels[i][x] }, count, nw.C(i, k))
-			} else {
-				t = suffixStart(func(x int) float64 { return oldLevel(i, x) }, count, nw.C(i, k))
-			}
-			for _, id := range rd.OutNodes[i][t:] {
-				l = append(l, graph.Edge{From: rd.In[k], To: id})
-			}
-		}
-		adj[prev.In[k]] = l
-		total += len(l)
-	}
-	rd.G = graph.Assemble(adj, total/2)
-	return rd
+	return build(nw, prev, dirtyRows)
 }

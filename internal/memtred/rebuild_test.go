@@ -6,9 +6,6 @@ import (
 	"testing"
 
 	"wmcs/internal/graph"
-	"wmcs/internal/mech"
-	"wmcs/internal/nwst"
-	"wmcs/internal/nwstmech"
 	"wmcs/internal/wireless"
 )
 
@@ -55,36 +52,70 @@ func requireSame(t *testing.T, got, want *Reduction) {
 	}
 }
 
+// TestRebuildMatchesNew chains random rewrites through Rebuild and
+// requires each incremental result to be New's. Its inputs are random
+// symmetric networks rewritten with continuous costs, and the tie-heavy
+// networks of tiedSyms rewritten with costs from their own set {1..k}:
+// there a rewrite can merge or split a level (Rebuild bails) or move a
+// threshold onto another existing level, and both paths must occur.
 func TestRebuildMatchesNew(t *testing.T) {
+	type input struct {
+		nw     *wireless.Network
+		seed   int64
+		trials int
+		cost   func(*rand.Rand) float64
+	}
+	var ins []input
 	for _, n := range []int{5, 9, 16} {
-		rng := rand.New(rand.NewSource(int64(100 + n)))
-		nw := randSym(n, int64(n))
+		ins = append(ins, input{randSym(n, int64(n)), int64(100 + n), 40, func(rng *rand.Rand) float64 { return 0.5 + rng.Float64()*9.5 }})
+	}
+	for x, tn := range tiedSyms(t, 12) {
+		ins = append(ins, input{tn.nw, int64(x), 8, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(tn.k)) }})
+	}
+	kept, bailed := 0, 0
+	for _, in := range ins {
+		rng := rand.New(rand.NewSource(in.seed))
+		nw := in.nw
+		var on []int
+		for i := 0; i < nw.N(); i++ {
+			if nw.StationEnabled(i) {
+				on = append(on, i)
+			}
+		}
+		if len(on) < 2 {
+			continue
+		}
 		prev := New(nw)
-		for trial := 0; trial < 40; trial++ {
+		for trial := 0; trial < in.trials; trial++ {
 			work := nw.Snapshot()
 			// 1–3 random single-edge rewrites per update.
 			for k := 0; k < 1+rng.Intn(3); k++ {
-				i := rng.Intn(n)
-				j := rng.Intn(n)
+				i := on[rng.Intn(len(on))]
+				j := on[rng.Intn(len(on))]
 				for j == i {
-					j = rng.Intn(n)
+					j = on[rng.Intn(len(on))]
 				}
-				if _, err := work.SetCost(i, j, 0.5+rng.Float64()*9.5); err != nil {
+				if _, err := work.SetCost(i, j, in.cost(rng)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			d := work.TakeDelta()
 			got := Rebuild(prev, work, d.DirtyRows)
-			want := New(work)
 			if got == nil {
-				// Eligibility bailed (distinct-cost count changed) —
-				// legal, the caller falls back to New.
+				// Eligibility bailed (distinct-cost count changed, or
+				// nothing or everything dirty) — legal, the caller falls
+				// back to New.
+				bailed++
 				continue
 			}
-			requireSame(t, got, want)
+			kept++
+			requireSame(t, got, New(work))
 			// Chain: the rebuilt reduction must itself be a valid donor.
 			nw, prev = work, got
 		}
+	}
+	if kept == 0 || bailed == 0 {
+		t.Fatalf("%d incremental rebuilds and %d fallbacks; the inputs must take both paths", kept, bailed)
 	}
 }
 
@@ -118,41 +149,5 @@ func TestRebuildRejectsDegenerateDirtySets(t *testing.T) {
 	}
 	if Rebuild(nil, nw, all) != nil {
 		t.Fatal("Rebuild accepted a nil donor")
-	}
-}
-
-// TestChainsLazy pins when a reduction derives its chain description
-// for the node-weighted sweep: not in New or Rebuild, not when an
-// instance, the NWST mechanism or a state pool is built over it — all of
-// which the PATCH warm does — but when the first State is built, once,
-// after which every State shares it.
-func TestChainsLazy(t *testing.T) {
-	nw := randSym(7, 3)
-	prev := New(nw)
-	work := nw.Snapshot()
-	if _, err := work.SetCost(1, 2, work.C(1, 2)*1.1); err != nil {
-		t.Fatal(err)
-	}
-	rb := Rebuild(prev, work, work.TakeDelta().DirtyRows)
-	if rb == nil {
-		t.Fatal("Rebuild fell back to New")
-	}
-	for name, rd := range map[string]*Reduction{"new": prev, "rebuild": rb} {
-		in := rd.Instance(rd.Net.AllReceivers())
-		nwstmech.NewMemoized(in, nil)
-		nwst.NewStatePool(in)
-		if rd.chains != nil {
-			t.Fatalf("%s: described before any State was built", name)
-		}
-		nwst.NewState(in)
-		c := rd.chains
-		if c == nil {
-			t.Fatalf("%s: a State was built without describing the reduction", name)
-		}
-		nwst.NewState(rd.Instance([]int{1, 2}))
-		nwstmech.New(in, nil).Run(make(mech.Profile, rd.G.N()))
-		if rd.chains != c || rd.Chains() != c {
-			t.Fatalf("%s: the reduction was described twice", name)
-		}
 	}
 }

@@ -1,12 +1,6 @@
 package nwst
 
-import (
-	"fmt"
-	"math"
-	"slices"
-
-	"wmcs/internal/graph"
-)
+import "math"
 
 // This file is the station-chain description of a MEMT→NWST reduction
 // graph H (internal/memtred) and the parts of the node-weighted sweep
@@ -27,8 +21,8 @@ type Chains struct {
 	stations, n int
 	// first[i] is station i's level-0 output; first[S] == n.
 	first []int32
-	// thr[j*S+i] is the first level of station i that input j reaches:
-	// 0 for i == j, station i's level count when no level reaches j.
+	// thr[j*S+i] is the first level of station i that input j reaches,
+	// 0 for i == j. Some level of every station reaches every input.
 	thr []int32
 	// order[i*S:] lists station i's other inputs by (thr, id), so the
 	// inputs output level m reaches are its first upto entries.
@@ -42,117 +36,60 @@ type Chains struct {
 	deg []int32
 }
 
-// ChainSource supplies a host graph's chain description. The reduction
-// (memtred.Reduction) implements it and derives the description once,
-// on the first call; a nil description means "scan every edge".
-type ChainSource interface {
-	Chains() *Chains
-}
-
-// DescribeChains derives the chain description of g, laid out as a
-// reduction graph with the given number of stations, from g's own
-// adjacency lists and the node weights. It checks the whole layout: each
-// output lists its own input first and then other inputs in ascending
-// id, a station's outputs are contiguous with weights that never
-// decrease, the neighbour sets of a station's outputs are nested, and
-// every input's list is exactly the one the description implies. It
-// returns an error naming the first vertex that does not fit.
-func DescribeChains(g *graph.Graph, weights []float64, stations int) (*Chains, error) {
-	n, S := g.N(), stations
-	if S < 1 || S > n || len(weights) != n {
-		return nil, fmt.Errorf("nwst: %d stations, %d weights for %d vertices", S, len(weights), n)
-	}
+// NewChains describes the reduction graph laid out by first and thr:
+// first[i] is station i's level-0 output and first[S] the vertex count,
+// and thr[j*S+i] is the first level of station i that reaches input j,
+// 0 for i == j. It keeps both slices, which must not change afterwards.
+// Each station's other inputs are ordered by (thr, id) with a counting
+// sort over its levels, whose running counts are the outputs' upto.
+func NewChains(first, thr []int32) *Chains {
+	S := len(first) - 1
+	n := int(first[S])
 	c := &Chains{
 		stations: S, n: n,
-		first:   make([]int32, S+1),
-		thr:     make([]int32, S*S),
+		first:   first,
+		thr:     thr,
 		order:   make([]int32, S*S),
 		upto:    make([]int32, n-S),
 		station: make([]int32, n-S),
 		deg:     make([]int32, n),
 	}
-	// Stations and levels, from each output's first neighbour.
-	last := -1
-	for v := S; v < n; v++ {
-		l := g.Neighbors(v)
-		if len(l) == 0 || l[0].To >= S {
-			return nil, fmt.Errorf("nwst: output %d does not list its station's input first", v)
-		}
-		i := l[0].To
-		switch {
-		case i < last:
-			return nil, fmt.Errorf("nwst: output %d of station %d follows station %d's", v, i, last)
-		case i == last && !(weights[v] >= weights[v-1]):
-			return nil, fmt.Errorf("nwst: output %d weighs less than the level below it", v)
-		}
-		for ; last < i; last++ {
-			c.first[last+1] = int32(v)
-		}
-		c.station[v-S] = int32(i)
-	}
-	for ; last < S; last++ {
-		c.first[last+1] = int32(n)
-	}
-	levels := func(i int) int32 { return c.first[i+1] - c.first[i] }
-	for j := 0; j < S; j++ {
-		for i := 0; i < S; i++ {
-			if i != j {
-				c.thr[j*S+i] = levels(i)
-			}
-		}
-	}
-	// Reaching levels and nesting: level m must list exactly the inputs
-	// that some level up to m lists.
+	most := int32(0)
 	for i := 0; i < S; i++ {
-		reached := int32(0)
-		for v := int(c.first[i]); v < int(c.first[i+1]); v++ {
-			l := g.Neighbors(v)
-			m := int32(v) - c.first[i]
-			for k, e := range l[1:] {
-				j := e.To
-				if j >= S || j == i || k > 0 && j <= l[k].To {
-					return nil, fmt.Errorf("nwst: output %d lists %d out of place", v, j)
-				}
-				if c.thr[j*S+i] == levels(i) {
-					c.thr[j*S+i] = m
-					reached++
-				}
-			}
-			if int32(len(l)-1) != reached {
-				return nil, fmt.Errorf("nwst: output %d misses an input a lower level of station %d reaches", v, i)
-			}
-			c.upto[v-S] = reached
-			c.deg[v] = int32(len(l))
-		}
-		ord := c.order[i*S : i*S+S-1]
-		k := 0
+		most = max(most, first[i+1]-first[i])
+	}
+	// at[t] counts station i's other inputs with thr below t: the
+	// position of the first with thr t in its order, and the upto of
+	// level t−1.
+	buf := make([]int32, most+1)
+	for i := 0; i < S; i++ {
+		levels := first[i+1] - first[i]
+		at := buf[:levels+1]
+		clear(at)
 		for j := 0; j < S; j++ {
+			t := thr[j*S+i]
+			c.deg[j] += levels - t
 			if j != i {
-				ord[k] = int32(j)
-				k++
+				at[t+1]++
 			}
 		}
-		slices.SortStableFunc(ord, func(a, b int32) int { return int(c.thr[int(a)*S+i] - c.thr[int(b)*S+i]) })
-	}
-	// Every input's list must be the one the description implies: per
-	// station in id order, the levels from thr on.
-	for j := 0; j < S; j++ {
-		l := g.Neighbors(j)
-		k := 0
-		for i := 0; i < S; i++ {
-			for v := c.first[i] + c.thr[j*S+i]; v < c.first[i+1]; v++ {
-				if k >= len(l) || l[k].To != int(v) {
-					return nil, fmt.Errorf("nwst: input %d's list differs from station %d's levels from %d", j, i, c.thr[j*S+i])
-				}
-				k++
+		for t := int32(1); t <= levels; t++ {
+			at[t] += at[t-1]
+		}
+		for m := int32(0); m < levels; m++ {
+			v := int(first[i] + m)
+			c.station[v-S] = int32(i)
+			c.upto[v-S] = at[m+1]
+			c.deg[v] = 1 + at[m+1]
+		}
+		for j := 0; j < S; j++ {
+			if t := thr[j*S+i]; j != i {
+				c.order[i*S+int(at[t])] = int32(j)
+				at[t]++
 			}
 		}
-		if k != len(l) {
-			return nil, fmt.Errorf("nwst: input %d has %d neighbours beyond its stations' levels", j, len(l)-k)
-		}
-		c.deg[j] = int32(len(l))
 	}
-	return c, nil
+	return c
 }
 
 // resetChains readies a lane's per-sweep chain marks: no level of any

@@ -13,6 +13,9 @@ var (
 // Described reports whether st sweeps through a chain description.
 func Described(st *State) bool { return st.chains != nil }
 
+// BaseDegree returns vertex v's degree in the described graph.
+func (c *Chains) BaseDegree(v int) int { return int(c.deg[v]) }
+
 // ImpliedNeighbors returns the neighbour ids of vertex v that the
 // description implies, in the order of the adjacency list it was derived
 // from: for an input, each station's levels from thr in station order;

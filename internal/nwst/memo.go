@@ -84,20 +84,15 @@ const defaultTrajectoryEntries = 1 << 14
 type TrajectoryMemo struct {
 	mu      sync.Mutex
 	entries map[string]*trajectory
-	max     int
 }
 
 type trajectory struct {
 	steps []TrajectoryStep
 }
 
-// NewTrajectoryMemo builds an empty memo; maxEntries ≤ 0 selects the
-// default cap.
-func NewTrajectoryMemo(maxEntries int) *TrajectoryMemo {
-	if maxEntries <= 0 {
-		maxEntries = defaultTrajectoryEntries
-	}
-	return &TrajectoryMemo{entries: make(map[string]*trajectory), max: maxEntries}
+// NewTrajectoryMemo builds an empty memo.
+func NewTrajectoryMemo() *TrajectoryMemo {
+	return &TrajectoryMemo{entries: make(map[string]*trajectory)}
 }
 
 // Lookup returns the recorded prefix for a key. The returned slice is
@@ -122,7 +117,7 @@ func (m *TrajectoryMemo) Publish(key string, idx int, step TrajectoryStep) {
 	defer m.mu.Unlock()
 	e, ok := m.entries[key]
 	if !ok {
-		if len(m.entries) >= m.max {
+		if len(m.entries) >= defaultTrajectoryEntries {
 			return
 		}
 		e = &trajectory{}

@@ -29,10 +29,9 @@ type Instance struct {
 	// terminal). len(Free) == len(Terminals) or nil for "all paying".
 	Free []bool
 	// Chains, when non-nil, describes G as a MEMT→NWST reduction graph
-	// (chains.go). A State asks it once, when it is built, and sweeps
-	// through the description when it has one. It never changes a
+	// (chains.go), and a State sweeps through it. It never changes a
 	// distance, a parent or a spider, only how much work a sweep does.
-	Chains ChainSource
+	Chains *Chains
 }
 
 // Validate panics on malformed instances; used by constructors of
@@ -168,10 +167,8 @@ func NewState(in Instance) *State {
 		consBase: make([]int, n),
 	}
 	s.base = s.g.Snapshot()
-	if in.Chains != nil {
-		if c := in.Chains.Chains(); c != nil && c.n == n {
-			s.chains = c
-		}
+	if c := in.Chains; c != nil && c.n == n {
+		s.chains = c
 	}
 	for i := range s.consBase {
 		s.consBase[i] = i
@@ -235,7 +232,7 @@ type StatePool struct {
 	free   []*State
 	g      *graph.Graph
 	w      []float64
-	chains ChainSource
+	chains *Chains
 	// rows is the table of uncontracted distance rows every state of
 	// the pool reads before its first contraction (oracle.go). It is
 	// empty until the first such oracle call fills it, and read-only
@@ -246,8 +243,7 @@ type StatePool struct {
 // NewStatePool returns an empty pool over the host of an instance: its
 // graph, weights and chain description; each Get brings its own
 // terminals. Its table of uncontracted rows stays unfilled until the
-// first oracle call that needs it, and the chain description is not
-// asked for until the pool builds its first state.
+// first oracle call that needs it.
 func NewStatePool(host Instance) *StatePool {
 	return &StatePool{g: host.G, w: host.Weights, chains: host.Chains}
 }

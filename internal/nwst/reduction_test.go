@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"wmcs/internal/graph"
 	"wmcs/internal/instances"
 	"wmcs/internal/memtred"
 	"wmcs/internal/nwst"
@@ -105,37 +106,106 @@ func TestReductionOraclesMatchSerial(t *testing.T) {
 	}
 }
 
+// tiedNetwork builds a symmetric network of n stations whose costs are
+// drawn from {1..k}, so stations repeat costs and share levels. With off
+// set it also disables one station other than the source, whose row then
+// reads wireless.DisabledCost throughout.
+func tiedNetwork(t *testing.T, rng *rand.Rand, n, k int, off bool) *wireless.Network {
+	t.Helper()
+	m := graph.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, float64(1+rng.Intn(k)))
+		}
+	}
+	nw := wireless.NewSymmetric(m, 0)
+	if off {
+		if _, err := nw.SetStationEnabled(1+rng.Intn(n-1), false); err != nil {
+			t.Fatal(err)
+		}
+		nw.TakeDelta()
+	}
+	return nw
+}
+
 // TestChainsDescribeReductions pins the description memtred hands the
-// sweep: DescribeChains accepts every reduction, a Rebuild reduction is
-// described exactly as New describes the same network, and the
-// description implies each base adjacency list exactly, in order.
+// sweep: on New and Rebuild reductions it implies each base adjacency
+// list exactly, in order, and records its length, and a Rebuild
+// reduction is described exactly as New describes the same network. Its inputs are a network of every
+// scenario, and tie-heavy networks (costs from {1..k}, k ∈ {1, 2, 4}, n
+// from 2 to 10, some with a station disabled) rewritten with costs from
+// the same set, so that some rebuilds keep the level counts and some
+// bail.
 func TestChainsDescribeReductions(t *testing.T) {
+	requireImplied := func(label string, rd *memtred.Reduction) {
+		t.Helper()
+		c := rd.Chains()
+		for v := 0; v < rd.G.N(); v++ {
+			var got []int
+			for _, e := range rd.G.Neighbors(v) {
+				got = append(got, e.To)
+			}
+			if want := c.ImpliedNeighbors(v); !slices.Equal(got, want) {
+				t.Fatalf("%s vertex %d: adjacency %v, the description implies %v", label, v, got, want)
+			}
+			if d := c.BaseDegree(v); d != len(got) {
+				t.Fatalf("%s vertex %d: degree %d, the description records %d", label, v, len(got), d)
+			}
+		}
+	}
+	requireRebuilt := func(label string, rd *memtred.Reduction, work *wireless.Network) {
+		t.Helper()
+		requireImplied(label, rd)
+		if !reflect.DeepEqual(rd.Chains(), memtred.New(work).Chains()) {
+			t.Fatalf("%s: the Rebuild reduction is described differently from New's", label)
+		}
+	}
 	for _, sc := range instances.ScenarioNames() {
 		for _, n := range []int{2, 5, 12} {
-			nw := network(t, sc, n, int64(n))
-			rd := memtred.New(nw)
-			c, err := nwst.DescribeChains(rd.G, rd.Weights, len(rd.In))
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", sc, n, err)
-			}
-			for v := 0; v < rd.G.N(); v++ {
-				var got []int
-				for _, e := range rd.G.Neighbors(v) {
-					got = append(got, e.To)
-				}
-				if want := c.ImpliedNeighbors(v); !slices.Equal(got, want) {
-					t.Fatalf("%s n=%d vertex %d: adjacency %v, the description implies %v", sc, n, v, got, want)
-				}
-			}
-			if !reflect.DeepEqual(rd.Chains(), c) {
-				t.Fatalf("%s n=%d: the reduction's description differs from DescribeChains'", sc, n)
-			}
+			requireImplied(fmt.Sprintf("%s n=%d", sc, n), memtred.New(network(t, sc, n, int64(n))))
 		}
 	}
 	for _, n := range []int{5, 9, 12} {
 		rd, work := rebuilt(t, network(t, "symmetric", n, int64(n)))
-		if !reflect.DeepEqual(rd.Chains(), memtred.New(work).Chains()) {
-			t.Fatalf("n=%d: the Rebuild reduction is described differently from New's", n)
+		requireRebuilt(fmt.Sprintf("rebuilt symmetric n=%d", n), rd, work)
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	kept, bailed := 0, 0
+	for _, k := range []int{1, 2, 4} {
+		for n := 2; n <= 10; n++ {
+			for _, off := range []bool{false, true} {
+				nw := tiedNetwork(t, rng, n, k, off)
+				label := fmt.Sprintf("tied k=%d n=%d off=%v", k, n, off)
+				prev := memtred.New(nw)
+				requireImplied(label, prev)
+				var on []int
+				for i := 0; i < n; i++ {
+					if nw.StationEnabled(i) {
+						on = append(on, i)
+					}
+				}
+				for trial := 0; trial < 6 && len(on) > 1; trial++ {
+					work := nw.Snapshot()
+					i, j := on[rng.Intn(len(on))], on[rng.Intn(len(on))]
+					for j == i {
+						j = on[rng.Intn(len(on))]
+					}
+					if _, err := work.SetCost(i, j, float64(1+rng.Intn(k))); err != nil {
+						t.Fatal(err)
+					}
+					rd := memtred.Rebuild(prev, work, work.TakeDelta().DirtyRows)
+					if rd == nil {
+						bailed++
+						continue
+					}
+					kept++
+					requireRebuilt(fmt.Sprintf("%s rebuilt after c(%d,%d) = %g", label, i, j, work.C(i, j)), rd, work)
+				}
+			}
 		}
+	}
+	if kept == 0 || bailed == 0 {
+		t.Fatalf("tied networks: %d incremental rebuilds and %d fallbacks; the inputs must take both paths", kept, bailed)
 	}
 }

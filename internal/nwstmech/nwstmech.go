@@ -83,7 +83,7 @@ func New(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
 // deviation probes and repeat queries against it replay.
 func NewMemoized(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
 	m := New(inst, oracle)
-	m.memo = nwst.NewTrajectoryMemo(0)
+	m.memo = nwst.NewTrajectoryMemo()
 	return m
 }
 

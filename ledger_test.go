@@ -16,10 +16,10 @@ package wmcs
 //   - after runtime.GC(), so each line starts from a collected heap and
 //     garbage never piles up while the collector is off;
 //   - with the collector off while counting: every GC cycle allocates a
-//     couple of objects of its own, and memtred.New at n = 48 (8 MB a
-//     call) triggers about two cycles per call, too many for any run
-//     count to floor away. With no cycle, sync.Pool also keeps what it
-//     was given.
+//     couple of objects of its own, and memtred.New at n = 48 (3 MB a
+//     call) starts cycles during its runs, whose strays grow with the
+//     run count, so no run count floors them away. With no cycle,
+//     sync.Pool also keeps what it was given.
 //
 // The test skips under -race, where sync.Pool drops Puts at random, and
 // off goldenTarget, so one pin governs both golden files.
@@ -49,7 +49,7 @@ const countLedgerPath = "testdata/golden/count_ledger.txt"
 
 // ledgerRuns is the AllocsPerRun count of every ledger line. With the
 // collector off, the heap grows by ledgerRuns+1 calls' garbage (about
-// 90 MB for memtred.New at n = 48) before the next line collects it.
+// 33 MB for memtred.New at n = 48) before the next line collects it.
 const ledgerRuns = 10
 
 // countAllocs returns the heap allocations of one call of f, taken as

@@ -59,14 +59,30 @@ func NewEuclideanNetwork(points [][]float64, alpha float64, source int) *Network
 }
 
 // NewSymmetricNetwork builds an abstract symmetric network from a cost
-// matrix given as rows (costs[i][j] must equal costs[j][i]).
+// matrix given as rows (costs[i][j] must equal costs[j][i]). It rejects
+// an empty or ragged matrix, a source outside [0, n), and any cost
+// outside [0, wireless.DisabledCost), the range instances.Spec.Build
+// accepts.
 func NewSymmetricNetwork(costs [][]float64, source int) (*Network, error) {
 	n := len(costs)
+	if n == 0 {
+		return nil, fmt.Errorf("wmcs: empty cost matrix")
+	}
+	if source < 0 || source >= n {
+		return nil, fmt.Errorf("wmcs: source %d outside [0, %d)", source, n)
+	}
+	for i, row := range costs {
+		if len(row) != n {
+			return nil, fmt.Errorf("wmcs: row %d has %d entries, want %d", i, len(row), n)
+		}
+		for j, c := range row {
+			if j != i && !(c >= 0 && c < wireless.DisabledCost) {
+				return nil, fmt.Errorf("wmcs: cost at (%d,%d) = %g, outside [0, %g)", i, j, c, wireless.DisabledCost)
+			}
+		}
+	}
 	m := graph.NewMatrix(n)
 	for i := 0; i < n; i++ {
-		if len(costs[i]) != n {
-			return nil, fmt.Errorf("wmcs: row %d has %d entries, want %d", i, len(costs[i]), n)
-		}
 		for j := i + 1; j < n; j++ {
 			if costs[i][j] != costs[j][i] {
 				return nil, fmt.Errorf("wmcs: asymmetric cost at (%d,%d)", i, j)

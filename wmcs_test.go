@@ -38,6 +38,36 @@ func TestNewSymmetricNetwork(t *testing.T) {
 	if _, err := NewSymmetricNetwork([][]float64{{0, 1}}, 0); err == nil {
 		t.Error("ragged matrix accepted")
 	}
+	// Each must return an error, not panic and not build a network that
+	// a mechanism or SetCost would reject later.
+	for _, in := range []struct {
+		name   string
+		costs  [][]float64
+		source int
+	}{
+		{"empty matrix", nil, 0},
+		{"source past n", [][]float64{{0, 2}, {2, 0}}, 5},
+		{"negative source", [][]float64{{0, 2}, {2, 0}}, -1},
+		{"negative cost", [][]float64{{0, -1}, {-1, 0}}, 0},
+		{"infinite cost", [][]float64{{0, math.Inf(1)}, {math.Inf(1), 0}}, 0},
+		{"DisabledCost", [][]float64{{0, 1e9}, {1e9, 0}}, 0},
+		{"NaN cost", [][]float64{{0, math.NaN()}, {math.NaN(), 0}}, 0},
+		{"NaN in one corner", [][]float64{{0, 1, 2}, {1, 0, 3}, {2, math.NaN(), 0}}, 0},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", in.name, r)
+				}
+			}()
+			if _, err := NewSymmetricNetwork(in.costs, in.source); err == nil {
+				t.Errorf("%s accepted", in.name)
+			}
+		}()
+	}
+	if _, err := NewSymmetricNetwork([][]float64{{0, math.NaN()}, {math.NaN(), 0}}, 0); err == nil || !strings.Contains(err.Error(), "(0,1) = NaN") {
+		t.Errorf("a NaN cost is reported as %v; want its position and value", err)
+	}
 }
 
 func TestByNameAllMechanismsRun(t *testing.T) {
