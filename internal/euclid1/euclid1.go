@@ -7,10 +7,10 @@
 //     largest efficient set is a distance prefix.
 //
 //   - d = 1 (any α ≥ 1): stations on a line. C*(R) depends only on the
-//     extreme ranks of R ∪ {s}; we precompute every interval's optimal
-//     cost with one interval-state Dijkstra sweep and evaluate the
-//     Shapley value by counting subsets with given extremes in O(k³)
-//     instead of 2^k.
+//     extreme ranks of R ∪ {s}; every interval's optimal cost comes from
+//     one table, wireless.LineLayout.IntervalCosts, and the Shapley
+//     value is evaluated by counting subsets with given extremes in
+//     O(k³) instead of 2^k.
 //
 // Both cases yield a 1-BB group-strategyproof Shapley mechanism (via
 // Moulin–Shenker) and an efficient strategyproof MC mechanism, matching
@@ -18,10 +18,8 @@
 package euclid1
 
 import (
-	"math"
 	"sort"
 
-	"wmcs/internal/graph"
 	"wmcs/internal/mech"
 	"wmcs/internal/sharing"
 	"wmcs/internal/wireless"
@@ -139,17 +137,15 @@ func (g *AirportGame) bestPrefix(u mech.Profile) ([]int, float64) {
 // ---------------------------------------------------------------------------
 // d = 1: the interval game.
 
-// LineGame is the d = 1 multicast cost-sharing game. It precomputes the
-// optimal cost of every covered interval with a single interval-state
-// Dijkstra (see wireless.LineOptimal for the argument), so C*(R) queries
-// and the combinatorial Shapley value are cheap.
+// LineGame is the d = 1 multicast cost-sharing game. It holds the
+// line's layout and the optimal cost of every covered interval
+// (wireless.LineLayout.IntervalCosts), so C*(R) queries and the
+// combinatorial Shapley value are cheap.
 type LineGame struct {
-	Net   *wireless.Network
-	order []int // station ids sorted by coordinate
-	rank  []int
-	k     int       // source rank
-	best  []float64 // best[f*n+l] = min cost covering ranks [f..l] ∪ {k}
-	fact  []float64 // factorials
+	Net  *wireless.Network
+	lay  wireless.LineLayout
+	best []float64 // best[f*n+l] = min cost covering ranks [f..l] ∪ {K}
+	fact []float64 // factorials
 }
 
 // NewLineGame validates d = 1 and precomputes the interval cost table.
@@ -157,14 +153,8 @@ func NewLineGame(nw *wireless.Network) *LineGame {
 	if nw.Dim() != 1 {
 		panic("euclid1: LineGame requires a 1-dimensional Euclidean network")
 	}
-	n := nw.N()
-	g := &LineGame{Net: nw, order: nw.SortByCoordinate(), rank: make([]int, n)}
-	for r, v := range g.order {
-		g.rank[v] = r
-	}
-	g.k = g.rank[nw.Source()]
-	g.best = intervalCosts(nw, g.order, g.k)
-	g.fact = make([]float64, n+2)
+	lay := wireless.NewLineLayout(nw)
+	g := &LineGame{Net: nw, lay: lay, best: lay.IntervalCosts(), fact: make([]float64, nw.N()+2)}
 	g.fact[0] = 1
 	for i := 1; i < len(g.fact); i++ {
 		g.fact[i] = g.fact[i-1] * float64(i)
@@ -172,109 +162,14 @@ func NewLineGame(nw *wireless.Network) *LineGame {
 	return g
 }
 
-// intervalCosts runs the interval-state Dijkstra to exhaustion and folds
-// the state table into best[f][l] = min cost of any state covering [f..l].
-func intervalCosts(nw *wireless.Network, order []int, k int) []float64 {
-	n := nw.N()
-	coord := make([]float64, n)
-	for r, v := range order {
-		coord[r] = nw.Points()[v][0]
-	}
-	pc := nw.PowerModel()
-	dist := make([]float64, n*n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	start := k*n + k
-	dist[start] = 0
-	h := graph.NewIndexHeap(n * n)
-	h.Push(start, 0)
-	visited := make([]bool, n*n)
-	for h.Len() > 0 {
-		s, d := h.Pop()
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		i, j := s/n, s%n
-		for t := i; t <= j; t++ {
-			st := order[t]
-			for u := 0; u < n; u++ {
-				if u >= i && u <= j {
-					continue
-				}
-				p := nw.C(st, order[u])
-				rg := pc.Range(p) + 1e-9
-				lo := sort.SearchFloat64s(coord, coord[t]-rg)
-				hi := sort.SearchFloat64s(coord, coord[t]+rg) - 1
-				ni, nj := i, j
-				if lo < ni {
-					ni = lo
-				}
-				if hi > nj {
-					nj = hi
-				}
-				ns := ni*n + nj
-				if ns == s {
-					continue
-				}
-				if nd := d + p; nd < dist[ns] {
-					dist[ns] = nd
-					h.PushOrDecrease(ns, nd)
-				}
-			}
-		}
-	}
-	// best[f][l] = min over states {i ≤ f, j ≥ l} of dist: a quadrant
-	// minimum, computed in one sweep (f ascending, l descending) because
-	// both predecessors best[f−1][l] and best[f][l+1] are already final.
-	best := make([]float64, n*n)
-	copy(best, dist)
-	for f := 0; f < n; f++ {
-		for l := n - 1; l >= 0; l-- {
-			b := best[f*n+l]
-			if f > 0 {
-				if v := best[(f-1)*n+l]; v < b {
-					b = v
-				}
-			}
-			if l+1 < n {
-				if v := best[f*n+l+1]; v < b {
-					b = v
-				}
-			}
-			best[f*n+l] = b
-		}
-	}
-	return best
-}
-
 // CostExtremes returns C* of serving the rank interval [f..l] ∪ {source}.
 func (g *LineGame) CostExtremes(f, l int) float64 {
-	if f > g.k {
-		f = g.k
-	}
-	if l < g.k {
-		l = g.k
-	}
-	return g.best[f*g.Net.N()+l]
+	return g.best[min(f, g.lay.K)*g.Net.N()+max(l, g.lay.K)]
 }
 
 // Cost returns C*(R), which depends only on the extreme ranks of R ∪ {s}.
 func (g *LineGame) Cost(R []int) float64 {
-	if len(R) == 0 {
-		return 0
-	}
-	f, l := g.k, g.k
-	for _, r := range R {
-		if g.rank[r] < f {
-			f = g.rank[r]
-		}
-		if g.rank[r] > l {
-			l = g.rank[r]
-		}
-	}
-	return g.CostExtremes(f, l)
+	return g.CostExtremes(g.lay.Span(R))
 }
 
 // Shapley evaluates the exact Shapley value of the interval game by
@@ -288,7 +183,7 @@ func (g *LineGame) Shapley(R []int) map[int]float64 {
 	}
 	ranks := make([]int, k)
 	for i, r := range R {
-		ranks[i] = g.rank[r]
+		ranks[i] = g.lay.Rank[r]
 	}
 	idx := make([]int, k)
 	for i := range idx {
@@ -324,7 +219,7 @@ func (g *LineGame) Shapley(R []int) map[int]float64 {
 			ra := sortedRanks[a]
 			// Singleton Q = {a}.
 			cq := g.CostExtremes(ra, ra)
-			cqi := g.CostExtremes(minInt(ra, ri), maxInt(ra, ri))
+			cqi := g.CostExtremes(min(ra, ri), max(ra, ri))
 			phi += weight(1) * (cqi - cq)
 			for b := a + 1; b < k; b++ {
 				if b == t {
@@ -337,7 +232,7 @@ func (g *LineGame) Shapley(R []int) map[int]float64 {
 					inner--
 				}
 				cq = g.CostExtremes(ra, rb)
-				cqi = g.CostExtremes(minInt(ra, ri), maxInt(rb, ri))
+				cqi = g.CostExtremes(min(ra, ri), max(rb, ri))
 				diff := cqi - cq
 				if diff == 0 {
 					continue
@@ -350,20 +245,6 @@ func (g *LineGame) Shapley(R []int) map[int]float64 {
 		shares[agent] = phi
 	}
 	return shares
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ShapleyMechanism returns the d = 1 Shapley mechanism of Theorem 3.2
@@ -395,7 +276,7 @@ func (g *LineGame) bestInterval(u mech.Profile) ([]int, float64) {
 	n := g.Net.N()
 	// utilByRank[r] = utility of the station at rank r (0 for the source).
 	utilByRank := make([]float64, n)
-	for r, v := range g.order {
+	for r, v := range g.lay.Order {
 		if v != g.Net.Source() {
 			utilByRank[r] = u[v]
 		}
@@ -421,7 +302,7 @@ func (g *LineGame) bestInterval(u mech.Profile) ([]int, float64) {
 	}
 	var R []int
 	for r := bestF; r <= bestL; r++ {
-		if v := g.order[r]; v != g.Net.Source() {
+		if v := g.lay.Order[r]; v != g.Net.Source() {
 			R = append(R, v)
 		}
 	}

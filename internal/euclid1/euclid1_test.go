@@ -140,6 +140,11 @@ func TestLineGameValidates(t *testing.T) {
 	NewLineGame(alpha1Net(rng, 4))
 }
 
+// TestLineGameCostMatchesLineOptimal pins the interval table against
+// both exact solvers: Cost against LineOptimal on random receiver sets,
+// and CostExtremes of every rank interval against ExactMEMT, a search
+// over subsets that shares no line code with the table. The table stops
+// its search once the whole line is reached; ExactMEMT never does.
 func TestLineGameCostMatchesLineOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
@@ -158,6 +163,46 @@ func TestLineGameCostMatchesLineOptimal(t *testing.T) {
 			want, _ := wireless.LineOptimal(nw, R)
 			if got := g.Cost(R); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("trial %d: Cost %g != LineOptimal %g (R=%v)", trial, got, want, R)
+			}
+		}
+		checkIntervalsExact(t, g, -1)
+	}
+	// One more line, with a station disabled the way a served PATCH
+	// disables one: every cost it takes part in sits at DisabledCost.
+	nw := lineNetRandom(rng, 7, 2)
+	dead := 0
+	if nw.Source() == 0 {
+		dead = 1
+	}
+	if _, err := nw.SetStationEnabled(dead, false); err != nil {
+		t.Fatal(err)
+	}
+	checkIntervalsExact(t, NewLineGame(nw), dead)
+}
+
+// checkIntervalsExact requires CostExtremes(f, l) to match ExactMEMT over
+// the stations of ranks f..l for every rank interval f ≤ K ≤ l. With
+// dead ≥ 0 it leaves out the intervals holding that disabled station:
+// the table covers a station by its coordinate, so it serves a disabled
+// one at its geometric cost, where ExactMEMT pays DisabledCost
+// (ROADMAP item 9).
+func checkIntervalsExact(t *testing.T, g *LineGame, dead int) {
+	t.Helper()
+	nw, lay := g.Net, g.lay
+	for f := 0; f <= lay.K; f++ {
+		for l := lay.K; l < nw.N(); l++ {
+			if dead >= 0 && f <= lay.Rank[dead] && lay.Rank[dead] <= l {
+				continue
+			}
+			var R []int
+			for r := f; r <= l; r++ {
+				if v := lay.Order[r]; v != nw.Source() {
+					R = append(R, v)
+				}
+			}
+			want, _ := wireless.ExactMEMT(nw, R)
+			if got := g.CostExtremes(f, l); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("ranks %d..%d (source rank %d): CostExtremes %g != ExactMEMT %g", f, l, lay.K, got, want)
 			}
 		}
 	}

@@ -243,7 +243,7 @@ func (rd *Reduction) Extract(nodes []int, R []int) Extraction {
 	for _, e := range edges {
 		sub.AddEdge(e.From, e.To, 0)
 	}
-	_, parent, order := paths.BFS(sub, rd.In[src])
+	_, _, order := paths.BFS(sub, rd.In[src])
 	num := make([]int, rd.G.N())
 	for i := range num {
 		num[i] = -1
@@ -278,7 +278,6 @@ func (rd *Reduction) Extract(nodes []int, R []int) Extraction {
 			ex.Pi[a] = c
 		}
 	}
-	_ = parent
 	// Power paid for inside the NWST solution: heaviest surviving output
 	// node per station.
 	for _, v := range order {

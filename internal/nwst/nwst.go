@@ -317,28 +317,12 @@ func (s *State) PayingTerminals() []int {
 	return out
 }
 
-// NodeDist computes node-weighted shortest-path distances from src over
-// live vertices: dist[v] = min over paths of Σ weights of path nodes
-// excluding src itself. parent gives the predecessor on an optimal path.
-// The returned slices are freshly allocated; the oracles use the
-// scratch-backed nodeDistInto instead.
-func (s *State) NodeDist(src int) (dist []float64, parent []int32) {
-	n := s.g.N()
-	dist = make([]float64, n)
-	parent = make([]int32, n)
-	s.nodeDistInto(src, dist, parent)
-	return dist, parent
-}
-
-// nodeDistInto is NodeDist writing into caller-provided slices of length
-// g.N(), reusing lane 0's heap.
-func (s *State) nodeDistInto(src int, dist []float64, parent []int32) {
-	s.dijkstra(&s.sc, src, dist, parent, -1)
-}
-
-// dijkstra is the node-weighted sweep behind NodeDist and the oracles,
-// running on one lane's heap, so the oracle lanes can sweep one
-// read-only State at once. stopTerms > 0 halts the search once that
+// dijkstra is the node-weighted shortest-path sweep from src over live
+// vertices behind PathBetween and the oracles: dist[v] is the least sum
+// of the weights of a path's nodes, src's own excluded, and parent[v]
+// is v's predecessor on such a path; both have length g.N(). It runs on
+// one lane's heap, so the oracle lanes can sweep one read-only State at
+// once. stopTerms > 0 halts the search once that
 // many live *paying* terminals have settled. Every entry a caller may
 // read is final by then — a settled vertex's dist and the parents along
 // its optimal path (all settled strictly earlier) never change
@@ -488,28 +472,15 @@ func (h *sweepHeap) pop() heapSlot {
 	return top
 }
 
-// pathNodes walks parent pointers from v back to the source of a NodeDist
-// call, returning the node sequence source..v.
-func pathNodes(parent []int32, v int) []int {
-	var rev []int
-	for x := v; x != -1; x = int(parent[x]) {
-		rev = append(rev, x)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // PathBetween returns the minimum node-weight path between live vertices
 // a and b (inclusive of both) and its total node weight.
 func (s *State) PathBetween(a, b int) ([]int, float64) {
 	dist, parent := s.sc.distBufs(s.g.N())
-	s.nodeDistInto(a, dist, parent)
+	s.dijkstra(&s.sc, a, dist, parent, -1)
 	if math.IsInf(dist[b], 1) {
 		return nil, math.Inf(1)
 	}
-	return pathNodes(parent, b), dist[b] + s.w[a]
+	return appendPath(parent, b, nil), dist[b] + s.w[a]
 }
 
 // distBufs returns the single-source distance scratch sized to n.
@@ -520,7 +491,7 @@ func (sc *scratch) distBufs(n int) ([]float64, []int32) {
 }
 
 // appendPath walks parent pointers from v back to the source of a
-// nodeDistInto call and appends the path source..v to buf.
+// dijkstra sweep and appends the path source..v to buf.
 func appendPath(parent []int32, v int, buf []int) []int {
 	start := len(buf)
 	for x := v; x != -1; x = int(parent[x]) {

@@ -58,7 +58,9 @@ func TestValidateRejectsNegativeWeight(t *testing.T) {
 func TestNodeDist(t *testing.T) {
 	in := fig1Instance()
 	s := NewState(in)
-	dist, parent := s.NodeDist(0)
+	n := s.g.N()
+	dist, parent := make([]float64, n), make([]int32, n)
+	s.dijkstra(&s.sc, 0, dist, parent, -1)
 	if dist[0] != 0 {
 		t.Errorf("dist[src] = %g", dist[0])
 	}
@@ -70,7 +72,7 @@ func TestNodeDist(t *testing.T) {
 	if dist[2] != 3 {
 		t.Errorf("dist[t6] = %g", dist[2])
 	}
-	if got := pathNodes(parent, 3); len(got) != 3 || got[0] != 0 || got[1] != 5 || got[2] != 3 {
+	if got := appendPath(parent, 3, nil); len(got) != 3 || got[0] != 0 || got[1] != 5 || got[2] != 3 {
 		t.Errorf("path = %v", got)
 	}
 }

@@ -102,7 +102,7 @@ func naiveKRInto(s *State, minCover int, best *naiveBest) {
 			}
 			var legs [][]int
 			for _, t := range terms[:j] {
-				legs = append(legs, pathNodes(parent, t))
+				legs = append(legs, appendPath(parent, t, nil))
 			}
 			best.offer(naiveSpider(s, v, legs), minCover)
 		}
@@ -207,13 +207,13 @@ func naiveLegsInto(s *State, minCover int, best *naiveBest) {
 			var legs [][]int
 			for _, c := range chosen {
 				if c.hub < 0 {
-					legs = append(legs, pathNodes(parents[v], c.t1))
+					legs = append(legs, appendPath(parents[v], c.t1, nil))
 				}
 			}
 			for _, c := range chosen {
 				if c.hub >= 0 {
-					legs = append(legs, pathNodes(parents[v], c.hub),
-						pathNodes(parents[c.hub], c.t1), pathNodes(parents[c.hub], c.t2))
+					legs = append(legs, appendPath(parents[v], c.hub, nil),
+						appendPath(parents[c.hub], c.t1, nil), appendPath(parents[c.hub], c.t2, nil))
 				}
 			}
 			best.offer(naiveSpider(s, v, legs), minCover)

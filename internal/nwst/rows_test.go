@@ -13,7 +13,7 @@ import (
 // TestStatePoolRowTable pins the life of a pool's table of uncontracted
 // rows: it is empty after NewStatePool and after Get; the first oracle
 // call on a state that has contracted nothing fills it, for either
-// oracle; it holds exactly the exhaustive rows NodeDist sweeps; two
+// oracle; it holds exactly the rows of an exhaustive sweep; two
 // states of one pool read the same backing arrays; and after a Shrink a
 // state reads rows of its own.
 func TestStatePoolRowTable(t *testing.T) {
@@ -40,8 +40,9 @@ func TestStatePoolRowTable(t *testing.T) {
 			t.Fatalf("%s: table not filled by the first step-0 call (%d, %d rows)", o.name, len(pool.rows.dists), len(pool.rows.parents))
 		}
 		fresh := NewState(in)
+		dist, parent := make([]float64, n), make([]int32, n)
 		for v := 0; v < n; v++ {
-			dist, parent := fresh.NodeDist(v)
+			fresh.dijkstra(&fresh.sc, v, dist, parent, -1)
 			if !reflect.DeepEqual(pool.rows.dists[v], dist) || !reflect.DeepEqual(pool.rows.parents[v], parent) {
 				t.Fatalf("%s: table row %d is not the exhaustive sweep", o.name, v)
 			}
@@ -113,7 +114,7 @@ func TestStatePoolConcurrentFill(t *testing.T) {
 // TestStateRowReuse pins when a branch call off the pool's table reuses
 // the state's own rows: exactly when the state's contraction sequence
 // equals the one they were last swept for, and then every live own row
-// is the exhaustive row NodeDist sweeps on a fresh state contracted the
+// is the row an exhaustive sweep makes on a fresh state contracted the
 // same way. A pooled and an unpooled state each run attempts cut after
 // one to three oracle calls, as the mechanism's restarts are, on a
 // terminal set that repeats and that loses a terminal, so the sequence
@@ -161,11 +162,12 @@ func TestStateRowReuse(t *testing.T) {
 					if !slices.Equal(st.ownSeq, st.seq) {
 						t.Fatalf("pooled %v attempt %d call %d: rows recorded as swept for %v, sequence %v", pooled, a, call, st.ownSeq, st.seq)
 					}
+					dist, parent := make([]float64, st.g.N()), make([]int32, st.g.N())
 					for v := 0; v < st.g.N(); v++ {
 						if !st.alive[v] {
 							continue
 						}
-						dist, parent := fresh.NodeDist(v)
+						fresh.dijkstra(&fresh.sc, v, dist, parent, -1)
 						if !sameBits(st.ownDists[v], dist) || !slices.Equal(st.ownParents[v], parent) {
 							t.Fatalf("pooled %v attempt %d call %d: own row %d is not the fresh state's exhaustive row", pooled, a, call, v)
 						}

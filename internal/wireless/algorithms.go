@@ -75,13 +75,13 @@ func SteinerMulticast(nw *Network, R []int) (Tree, Assignment) {
 const MaxExactStations = 20
 
 // ExactMEMT computes a minimum-energy multicast assignment exactly by
-// running Dijkstra over subsets of covered stations: a state is the set of
-// stations already reached, and a transition raises one covered station's
-// power to one of its distinct edge costs, paying that power. Every
-// optimal assignment decomposes into such a transition sequence (ordering
-// the transmitters of its multicast tree in BFS order), and conversely any
-// sequence induces a feasible assignment of no larger total power, so the
-// minimum over sequences is exactly C*(R).
+// running the power search over subsets of covered stations: a state is
+// the set of stations already reached, and a transition raises one
+// covered station's power to one of its distinct edge costs, paying that
+// power. Every optimal assignment decomposes into such a transition
+// sequence (ordering the transmitters of its multicast tree in BFS
+// order), and conversely any sequence induces a feasible assignment of no
+// larger total power, so the minimum over sequences is exactly C*(R).
 //
 // Panics if n > MaxExactStations.
 func ExactMEMT(nw *Network, R []int) (float64, Assignment) {
@@ -124,59 +124,112 @@ func ExactMEMT(nw *Network, R []int) (float64, Assignment) {
 		}
 		levels[i] = ls
 	}
-	size := 1 << n
-	dist := make([]float64, size)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	type pred struct {
-		state, station, lvl int
-	}
-	preds := make([]pred, size)
-	start := 1 << nw.Source()
-	dist[start] = 0
-	h := graph.NewIndexHeap(size)
-	h.Push(start, 0)
-	visited := make([]bool, size)
-	goal := -1
-	for h.Len() > 0 {
-		s, d := h.Pop()
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
+	return powerSearch(1<<n, 1<<nw.Source(), func(s int, r raise) bool {
 		if s&target == target {
-			goal = s
-			break
+			return true
 		}
 		for i := 0; i < n; i++ {
 			if s&(1<<i) == 0 {
 				continue
 			}
-			for li, lv := range levels[i] {
-				ns := s | lv.cover
-				if ns == s {
-					continue
-				}
-				if nd := d + lv.power; nd < dist[ns] {
-					dist[ns] = nd
-					preds[ns] = pred{state: s, station: i, lvl: li}
-					h.PushOrDecrease(ns, nd)
-				}
+			for _, lv := range levels[i] {
+				r.to(s|lv.cover, i, lv.power)
 			}
 		}
+		return false
+	}).assignment(n)
+}
+
+// powerSearch is the Dijkstra behind every exact multicast solver
+// (ExactMEMT and the line searches of LineLayout): a state 0..size−1 is
+// a set of reached stations, and a transition raises one reached
+// station's power to one of its costs, paying that power. Starting from
+// start, it pops states until one covers the target. expand reports
+// whether a popped state does and, when it does not, offers each
+// transition out of it through r.to.
+//
+// No state pops twice: powers are nonnegative, so a later pop's key plus
+// any power is no less than the distance an earlier pop holds, and the
+// nd < dist test never pushes a popped state again.
+func powerSearch(size, start int, expand func(s int, r raise) (covers bool)) powerRun {
+	run := powerRun{dist: make([]float64, size), steps: make([]powerStep, size), start: start, goal: -1}
+	for i := range run.dist {
+		run.dist[i] = math.Inf(1)
 	}
-	if goal < 0 {
+	run.dist[start] = 0
+	h := graph.NewIndexHeap(size)
+	h.Push(start, 0)
+	for h.Len() > 0 {
+		s, d := h.Pop()
+		if expand(s, raise{from: s, d: d, dist: run.dist, steps: run.steps, h: h}) {
+			run.goal = s
+			break
+		}
+	}
+	return run
+}
+
+// powerRun is a power search's result: every state's distance, the step
+// that set it, and the first popped state that covers the target (−1
+// when none does). Distances of states popped before the goal are final;
+// the others are no less than the goal's.
+type powerRun struct {
+	dist        []float64
+	steps       []powerStep
+	start, goal int
+}
+
+// powerStep is the transition that set a state's distance: the state it
+// left and the power it gave one station.
+type powerStep struct {
+	from, station int
+	power         float64
+}
+
+// raise offers the transitions out of one popped state to the search.
+// expand receives it by value, so it stays on the stack: what it changes
+// sits behind its slices and heap, and offering a transition allocates
+// nothing.
+type raise struct {
+	from  int
+	d     float64
+	dist  []float64
+	steps []powerStep
+	h     *graph.IndexHeap
+}
+
+// to offers the transition that gives station power and reaches state
+// ns. It is small enough to inline, so a transition that lowers nothing
+// costs no call.
+func (r *raise) to(ns, station int, power float64) {
+	if nd := r.d + power; nd < r.dist[ns] {
+		r.lower(ns, station, power, nd)
+	}
+}
+
+// lower records that the transition to ns lowers its distance to nd.
+func (r *raise) lower(ns, station int, power, nd float64) {
+	r.dist[ns] = nd
+	r.steps[ns] = powerStep{from: r.from, station: station, power: power}
+	r.h.PushOrDecrease(ns, nd)
+}
+
+// assignment returns the goal's distance and the assignment that
+// reaches it over n stations, walking the steps from the goal back to
+// the start: each station transmits at the largest power a step gave
+// it. With no goal it returns +Inf and nil.
+func (run powerRun) assignment(n int) (float64, Assignment) {
+	if run.goal < 0 {
 		return math.Inf(1), nil
 	}
 	a := make(Assignment, n)
-	for s := goal; s != start; s = preds[s].state {
-		p := preds[s]
-		if pw := levels[p.station][p.lvl].power; pw > a[p.station] {
-			a[p.station] = pw
+	for s := run.goal; s != run.start; s = run.steps[s].from {
+		st := run.steps[s]
+		if st.power > a[st.station] {
+			a[st.station] = st.power
 		}
 	}
-	return dist[goal], a
+	return run.dist[run.goal], a
 }
 
 // Alpha1Optimal returns an optimal multicast assignment for Euclidean
@@ -195,14 +248,105 @@ func Alpha1Optimal(nw *Network, R []int) (float64, Assignment) {
 	return p, a
 }
 
+// LineLayout is a 1-dimensional network's stations in coordinate order,
+// the frame of every computation on the line. The line searches run on
+// interval states: in one dimension a transmitter's coverage disk is an
+// interval, so the set of reached stations is always an interval of
+// ranks [i, j] containing the source's, encoded i*n + j.
+type LineLayout struct {
+	Order []int     // station ids by ascending coordinate
+	Rank  []int     // Rank[v] is station v's index in Order
+	K     int       // the source's rank
+	coord []float64 // coord[r] is the coordinate of station Order[r]
+	nw    *Network
+}
+
+// NewLineLayout lays out nw's stations along its line. It panics unless
+// nw is Euclidean with d = 1.
+func NewLineLayout(nw *Network) LineLayout {
+	order := nw.SortByCoordinate()
+	lay := LineLayout{Order: order, Rank: make([]int, len(order)), coord: make([]float64, len(order)), nw: nw}
+	for r, v := range order {
+		lay.Rank[v] = r
+		lay.coord[r] = nw.points[v][0]
+	}
+	lay.K = lay.Rank[nw.source]
+	return lay
+}
+
+// Span returns the extreme ranks f ≤ K ≤ l of R ∪ {source}.
+func (lay LineLayout) Span(R []int) (f, l int) {
+	f, l = lay.K, lay.K
+	for _, r := range R {
+		f = min(f, lay.Rank[r])
+		l = max(l, lay.Rank[r])
+	}
+	return f, l
+}
+
+// search runs the power search over interval states from [K, K] until
+// one covers ranks f..l. A transition raises the station of a rank t in
+// [i, j] to its cost toward a station outside [i, j] and extends the
+// interval over that disk's coverage, found by binary search on coord.
+func (lay LineLayout) search(f, l int) powerRun {
+	n, nw := len(lay.Order), lay.nw
+	order, coord, pc := lay.Order, lay.coord, nw.PowerModel()
+	return powerSearch(n*n, lay.K*n+lay.K, func(s int, r raise) bool {
+		i, j := s/n, s%n
+		if i <= f && j >= l {
+			return true
+		}
+		for t := i; t <= j; t++ {
+			st := order[t]
+			for u := 0; u < n; u++ {
+				if u >= i && u <= j {
+					continue
+				}
+				p := nw.C(st, order[u])
+				rg := pc.Range(p) + costEps
+				lo := sort.SearchFloat64s(coord, coord[t]-rg)
+				hi := sort.SearchFloat64s(coord, coord[t]+rg) - 1
+				r.to(min(lo, i)*n+max(hi, j), st, p)
+			}
+		}
+		return false
+	})
+}
+
+// IntervalCosts returns the optimal cost of every rank interval:
+// best[f*n+l] is C* of serving the stations of ranks f..l together with
+// the source, for f ≤ K ≤ l. It runs the interval search until the whole
+// line is reached and folds its distances into quadrant minima:
+// best[f*n+l] is the least distance of any state [i, j] with i ≤ f and
+// j ≥ l. Stopping there changes no entry: every state popped earlier is
+// final, every other one is no nearer than the whole line, and the whole
+// line lies in every quadrant.
+func (lay LineLayout) IntervalCosts() []float64 {
+	n := len(lay.Order)
+	best := lay.search(0, n-1).dist
+	// One sweep, f ascending and l descending: both neighbours
+	// best[f−1][l] and best[f][l+1] are already quadrant minima.
+	for f := 0; f < n; f++ {
+		for l := n - 1; l >= 0; l-- {
+			b := best[f*n+l]
+			if f > 0 {
+				b = min(b, best[(f-1)*n+l])
+			}
+			if l+1 < n {
+				b = min(b, best[f*n+l+1])
+			}
+			best[f*n+l] = b
+		}
+	}
+	return best
+}
+
 // LineOptimal returns an optimal multicast assignment for 1-dimensional
-// Euclidean networks with any α ≥ 1, by Dijkstra over *interval states*:
-// in one dimension a transmitter's coverage disk is an interval, so the
-// set of reached stations is always an interval containing the source; a
-// transition raises one reached station's power to one of its edge costs
-// and extends the interval accordingly. This is exact (cross-validated
-// against ExactMEMT) and runs in polynomial time, confirming the
-// polynomial solvability claim of Lemma 3.1 for d = 1.
+// Euclidean networks with any α ≥ 1: the interval search of LineLayout,
+// stopped at the first state that covers the extreme ranks of R ∪ {s}.
+// This is exact (cross-validated against ExactMEMT) and runs in
+// polynomial time, confirming the polynomial solvability claim of
+// Lemma 3.1 for d = 1.
 //
 // Note: the constructive argument printed in Lemma 3.1 (fix the source
 // power, then relay outward with consecutive-neighbor hops) is *not*
@@ -214,101 +358,8 @@ func LineOptimal(nw *Network, R []int) (float64, Assignment) {
 	if nw.Dim() != 1 {
 		panic("wireless: LineOptimal requires a 1-dimensional network")
 	}
-	n := nw.N()
-	if len(R) == 0 {
-		return 0, make(Assignment, n)
-	}
-	order := nw.SortByCoordinate()
-	rank := make([]int, n)
-	for r, v := range order {
-		rank[v] = r
-	}
-	coord := make([]float64, n)
-	for r, v := range order {
-		coord[r] = nw.Points()[v][0]
-	}
-	k := rank[nw.Source()]
-	fR, lR := k, k
-	for _, r := range R {
-		if rank[r] < fR {
-			fR = rank[r]
-		}
-		if rank[r] > lR {
-			lR = rank[r]
-		}
-	}
-	pc := nw.PowerModel()
-
-	// Interval state [i, j] encoded as i*n + j.
-	enc := func(i, j int) int { return i*n + j }
-	dist := make([]float64, n*n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	type pred struct {
-		state, station int
-		power          float64
-	}
-	preds := make([]pred, n*n)
-	start := enc(k, k)
-	dist[start] = 0
-	h := graph.NewIndexHeap(n * n)
-	h.Push(start, 0)
-	visited := make([]bool, n*n)
-	goal := -1
-	for h.Len() > 0 {
-		s, d := h.Pop()
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		i, j := s/n, s%n
-		if i <= fR && j >= lR {
-			goal = s
-			break
-		}
-		for t := i; t <= j; t++ {
-			st := order[t]
-			for u := 0; u < n; u++ {
-				if u >= i && u <= j {
-					continue
-				}
-				p := nw.C(st, order[u])
-				rg := pc.Range(p) + costEps
-				// Coverage interval of station st's disk, by binary search
-				// over the sorted coordinates.
-				lo := sort.SearchFloat64s(coord, coord[t]-rg)
-				hi := sort.SearchFloat64s(coord, coord[t]+rg) - 1
-				ni, nj := i, j
-				if lo < ni {
-					ni = lo
-				}
-				if hi > nj {
-					nj = hi
-				}
-				ns := enc(ni, nj)
-				if ns == s {
-					continue
-				}
-				if nd := d + p; nd < dist[ns] {
-					dist[ns] = nd
-					preds[ns] = pred{state: s, station: st, power: p}
-					h.PushOrDecrease(ns, nd)
-				}
-			}
-		}
-	}
-	if goal < 0 {
-		return math.Inf(1), nil
-	}
-	a := make(Assignment, n)
-	for s := goal; s != start; s = preds[s].state {
-		p := preds[s]
-		if p.power > a[p.station] {
-			a[p.station] = p.power
-		}
-	}
-	return dist[goal], a
+	lay := NewLineLayout(nw)
+	return lay.search(lay.Span(R)).assignment(nw.N())
 }
 
 // LineChainCanonical implements the Lemma 3.1 construction for d = 1
@@ -324,21 +375,9 @@ func LineChainCanonical(nw *Network, R []int) (float64, Assignment) {
 	if len(R) == 0 {
 		return 0, make(Assignment, n)
 	}
-	order := nw.SortByCoordinate()
-	rank := make([]int, n)
-	for r, v := range order {
-		rank[v] = r
-	}
-	k := rank[nw.Source()]
-	fR, lR := k, k
-	for _, r := range R {
-		if rank[r] < fR {
-			fR = rank[r]
-		}
-		if rank[r] > lR {
-			lR = rank[r]
-		}
-	}
+	lay := NewLineLayout(nw)
+	order, k := lay.Order, lay.K
+	fR, lR := lay.Span(R)
 	// gap[r] = cost between consecutive stations at ranks r and r+1;
 	// prefix sums for O(1) chain costs.
 	gap := make([]float64, n-1)
