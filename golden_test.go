@@ -1,7 +1,7 @@
 package wmcs
 
 // The golden-bytes check. Every other byte check compares two paths
-// inside one commit (memo on/off, width 1/N, warm/cold, server/cold
+// inside one commit (replay/fresh run, width 1/N, warm/cold, server/cold
 // evaluator), so a change that moves the exact path the same way
 // everywhere passes all of them. Three committed artifacts pin the
 // bytes and the counts themselves, and a change that moves them shows

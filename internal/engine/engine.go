@@ -54,10 +54,6 @@ func New(workers int) *Pool {
 	return p
 }
 
-// Serial returns a width-1 pool; Map calls under it never spawn
-// goroutines.
-func Serial() *Pool { return &Pool{workers: 1} }
-
 // Workers returns the pool width (1 for a nil pool).
 func (p *Pool) Workers() int {
 	if p == nil {

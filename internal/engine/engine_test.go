@@ -36,7 +36,7 @@ func TestSerialRunsInline(t *testing.T) {
 	// A width-1 pool must execute on the calling goroutine in index
 	// order, so side effects are sequentially consistent without locks.
 	var trace []int
-	Map(Serial(), 5, func(i int) int {
+	Map(New(1), 5, func(i int) int {
 		trace = append(trace, i)
 		return i
 	})

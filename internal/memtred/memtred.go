@@ -19,7 +19,6 @@ import (
 
 	"wmcs/internal/graph"
 	"wmcs/internal/nwst"
-	"wmcs/internal/paths"
 	"wmcs/internal/steiner"
 	"wmcs/internal/wireless"
 )
@@ -238,18 +237,15 @@ func (rd *Reduction) Extract(nodes []int, R []int) Extraction {
 	}
 	edges := nwst.SpanningTree(rd.G, nodes, rd.In[src])
 	edges = steiner.Prune(rd.G.N(), edges, terms)
-	// BFS over the pruned tree.
-	sub := graph.New(rd.G.N())
+	// SpanningTree lists each edge when its To end is first reached and
+	// Prune keeps that order, so the source's input node followed by the
+	// kept edges' To ends is the pruned tree's BFS order, children in
+	// discovery order, and every edge runs from the lower BFS number to
+	// the higher.
+	order := make([]int, 1, len(edges)+1)
+	order[0] = rd.In[src]
 	for _, e := range edges {
-		sub.AddEdge(e.From, e.To, 0)
-	}
-	_, _, order := paths.BFS(sub, rd.In[src])
-	num := make([]int, rd.G.N())
-	for i := range num {
-		num[i] = -1
-	}
-	for i, v := range order {
-		num[v] = i
+		order = append(order, e.To)
 	}
 	n := rd.Net.N()
 	ex := Extraction{
@@ -264,11 +260,7 @@ func (rd *Reduction) Extract(nodes []int, R []int) Extraction {
 		}
 	}
 	for _, e := range edges {
-		u, v := e.From, e.To
-		if num[u] > num[v] {
-			u, v = v, u
-		}
-		a, b := rd.station[u], rd.station[v]
+		a, b := rd.station[e.From], rd.station[e.To]
 		if a == b {
 			continue
 		}

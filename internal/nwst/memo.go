@@ -83,16 +83,12 @@ const defaultTrajectoryEntries = 1 << 14
 // empty memos, so no recorded spider can survive a version bump.
 type TrajectoryMemo struct {
 	mu      sync.Mutex
-	entries map[string]*trajectory
-}
-
-type trajectory struct {
-	steps []TrajectoryStep
+	entries map[string][]TrajectoryStep
 }
 
 // NewTrajectoryMemo builds an empty memo.
 func NewTrajectoryMemo() *TrajectoryMemo {
-	return &TrajectoryMemo{entries: make(map[string]*trajectory)}
+	return &TrajectoryMemo{entries: make(map[string][]TrajectoryStep)}
 }
 
 // Lookup returns the recorded prefix for a key. The returned slice is
@@ -101,10 +97,7 @@ func NewTrajectoryMemo() *TrajectoryMemo {
 func (m *TrajectoryMemo) Lookup(key string) []TrajectoryStep {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.entries[key]; ok {
-		return e.steps
-	}
-	return nil
+	return m.entries[key]
 }
 
 // Publish records step idx of a key's trajectory. Only the next
@@ -115,16 +108,12 @@ func (m *TrajectoryMemo) Lookup(key string) []TrajectoryStep {
 func (m *TrajectoryMemo) Publish(key string, idx int, step TrajectoryStep) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
-		if len(m.entries) >= defaultTrajectoryEntries {
-			return
-		}
-		e = &trajectory{}
-		m.entries[key] = e
+	steps, ok := m.entries[key]
+	if !ok && len(m.entries) >= defaultTrajectoryEntries {
+		return
 	}
-	if len(e.steps) == idx {
-		e.steps = append(e.steps, step)
+	if len(steps) == idx {
+		m.entries[key] = append(steps, step)
 	}
 }
 

@@ -148,7 +148,11 @@ func (s *State) fillSlice(sc *scratch, b int) {
 // exact union cost per covered paying terminal is smallest. It scans at
 // width 1.
 func KleinRaviOracle(s *State, minCover int) (Spider, bool) {
-	return s.kleinRavi(minCover, nil)
+	if !s.begin(minCover, false, nil) {
+		return Spider{Ratio: math.Inf(1)}, false
+	}
+	s.scan(nil, (*State).sweepSlice)
+	return s.materialize(fold(noSpider, s.krBest))
 }
 
 // BranchSpiderOracle extends KleinRaviOracle with Guha–Khuller style
@@ -170,14 +174,6 @@ func BranchSpiderOracleOn(pool *engine.Pool) Oracle {
 	return func(s *State, minCover int) (Spider, bool) {
 		return s.branchSpider(minCover, pool)
 	}
-}
-
-func (s *State) kleinRavi(minCover int, pool *engine.Pool) (Spider, bool) {
-	if !s.begin(minCover, false, pool) {
-		return Spider{Ratio: math.Inf(1)}, false
-	}
-	s.scan(pool, (*State).sweepSlice)
-	return s.materialize(fold(noSpider, s.krBest))
 }
 
 func (s *State) branchSpider(minCover int, pool *engine.Pool) (Spider, bool) {

@@ -253,14 +253,13 @@ type oracleCase struct {
 	branch     bool
 }
 
-// oraclesUnderTest are the production oracles at widths 1 and 4, each
-// paired with its naive reference, plus the branch oracle's leg greedy
-// alone.
+// oraclesUnderTest are the production oracles, the branch oracle at
+// widths 1 and 4 (Klein–Ravi scans at width 1 only), each paired with
+// its naive reference, plus the branch oracle's leg greedy alone.
 func oraclesUnderTest() []oracleCase {
 	pool := engine.New(4)
 	return []oracleCase{
 		{"kr/w1", KleinRaviOracle, naiveKleinRavi, false},
-		{"kr/w4", func(s *State, k int) (Spider, bool) { return s.kleinRavi(k, pool) }, naiveKleinRavi, false},
 		{"branch/w1", BranchSpiderOracle, naiveBranchSpider, true},
 		{"branch/w4", BranchSpiderOracleOn(pool), naiveBranchSpider, true},
 		{"legs/w1", branchLegs(nil), naiveBranchLegs, true},
@@ -457,7 +456,7 @@ func TestOracleSpidersOwnTheirSlices(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		pool := engine.New(width)
 		oracles := []Oracle{
-			func(s *State, k int) (Spider, bool) { return s.kleinRavi(k, pool) },
+			KleinRaviOracle,
 			BranchSpiderOracleOn(pool),
 		}
 		st := NewState(in)

@@ -70,7 +70,8 @@ func TestResetMatchesFresh(t *testing.T) {
 // TestStatePoolDifferential checks that states cycling through a pool
 // behave identically to fresh states for Solve-style use: several
 // terminal sets over one host graph, all served by the pool's one table
-// of uncontracted rows, with both oracles at widths 1 and 4.
+// of uncontracted rows, with both oracles, the branch oracle at widths
+// 1 and 4.
 func TestStatePoolDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := withFreeSource(randomInstance(rng, 14, 5))
@@ -82,7 +83,6 @@ func TestStatePoolDifferential(t *testing.T) {
 	wide := engine.New(4)
 	for name, oracle := range map[string]Oracle{
 		"kr/w1":     KleinRaviOracle,
-		"kr/w4":     func(s *State, k int) (Spider, bool) { return s.kleinRavi(k, wide) },
 		"branch/w1": BranchSpiderOracle,
 		"branch/w4": BranchSpiderOracleOn(wide),
 	} {

@@ -2,9 +2,11 @@
 // mechanism for the non-cooperative node-weighted Steiner tree problem:
 // repeatedly pick the minimum-ratio spider; if every covered terminal can
 // pay the ratio, charge it and shrink; otherwise drop the agents that
-// cannot afford their slice and restart from scratch. One such pass is
-// Attempt: RunDetailed loops over it, and the wireless mechanism
-// (internal/wmech) calls it from its own restart loop. Super-terminal
+// cannot afford their slice and restart from scratch. DropLoop owns that
+// restart loop, the paper's "while R′ ≠ R(v)", for both mechanisms that
+// run it: RunDetailed accepts every pass whose spiders were affordable,
+// and the wireless mechanism (internal/wmech) finishes each such pass
+// with its step (c) surcharges, a second reason to drop. Super-terminal
 // utilities follow Eq. (5): v_t = |T_Sp| · min_{t'∈T_Sp}(v_{t'} − c_{t'}).
 //
 // Faithfulness note: the published drop rule compares residual budgets to
@@ -45,10 +47,12 @@ type Mechanism struct {
 	// attempt's terminal list starts with them.
 	freeTerms []int
 	pool      *nwst.StatePool
-	// memo, when non-nil, replays recorded spider trajectories for
-	// terminal sets seen before (nwst.TrajectoryMemo): the greedy's
-	// spider sequence depends only on the terminal set, never on the
-	// profile, so replays are byte-identical to fresh computation.
+	// memo replays recorded spider trajectories for terminal sets seen
+	// before (nwst.TrajectoryMemo): the greedy's spider sequence depends
+	// only on the terminal set, never on the profile, so replays are
+	// byte-identical to fresh computation. It lives as long as the
+	// mechanism, so deviation probes and repeat queries against it
+	// replay.
 	memo *nwst.TrajectoryMemo
 }
 
@@ -58,13 +62,14 @@ const eps = 1e-9
 // New builds the mechanism for an NWST instance. Paying terminals are the
 // agents; free terminals (the wireless source) are always connected and
 // never charged. The mechanism draws contraction states from a private
-// pool, so Run is safe for concurrent use, and keeps no memo.
+// pool and records trajectories in a private memo, both safe for
+// concurrent use, so Run is too.
 func New(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
 	inst.Validate()
 	if oracle == nil {
 		oracle = nwst.BranchSpiderOracle
 	}
-	m := &Mechanism{inst: inst, oracle: oracle, pool: nwst.NewStatePool(inst)}
+	m := &Mechanism{inst: inst, oracle: oracle, pool: nwst.NewStatePool(inst), memo: nwst.NewTrajectoryMemo()}
 	for ti, t := range inst.Terminals {
 		if inst.Free != nil && inst.Free[ti] {
 			m.freeTerms = append(m.freeTerms, t)
@@ -73,17 +78,6 @@ func New(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
 		}
 	}
 	sort.Ints(m.agents)
-	return m
-}
-
-// NewMemoized is New with a trajectory memo: it records the spider
-// sequence per terminal set and replays it on later attempts with the
-// same set instead of re-invoking the oracle. The memo lives as long as
-// the mechanism. The wireless mechanism builds one per reduction, so
-// deviation probes and repeat queries against it replay.
-func NewMemoized(inst nwst.Instance, oracle nwst.Oracle) *Mechanism {
-	m := New(inst, oracle)
-	m.memo = nwst.NewTrajectoryMemo()
 	return m
 }
 
@@ -105,33 +99,48 @@ func (m *Mechanism) Run(u mech.Profile) mech.Outcome { return m.RunDetailed(u).O
 
 // RunDetailed executes the mechanism and also reports the chosen nodes.
 func (m *Mechanism) RunDetailed(u mech.Profile) Result {
+	if res, ok := m.DropLoop(u, func(Result) []int { return nil }); ok {
+		return res
+	}
+	return Result{Outcome: mech.Outcome{Shares: map[int]float64{}}}
+}
+
+// DropLoop runs the "while R′ ≠ R(v)" loop, starting with every agent
+// active. Each pass runs the greedy with the active agents as the paying
+// terminals. If some spider is unaffordable, the agents below their
+// slice drop; otherwise finish sees the pass's result and returns the
+// sorted agents it drops, none to accept it. Whoever drops leaves the
+// active set and the loop repeats on the survivors. A pass depends only
+// on the active set and on its members' reports, so a pass that drops
+// nobody (the terminals cannot be connected) would repeat forever: it is
+// a dead end, as is an empty active set, and DropLoop then reports
+// false.
+func (m *Mechanism) DropLoop(u mech.Profile, finish func(Result) []int) (Result, bool) {
 	active := slices.Clone(m.agents)
 	for {
-		res, drop, ok := m.Attempt(u, active)
+		res, drop, ok := m.attempt(u, active)
 		if ok {
-			return res
+			if drop = finish(res); len(drop) == 0 {
+				return res, true
+			}
 		}
 		left := len(active)
 		active = slices.DeleteFunc(active, func(a int) bool {
 			_, found := slices.BinarySearch(drop, a)
 			return found
 		})
-		// Nobody dropped is a dead end (the terminals cannot be
-		// connected): the same attempt would fail again.
 		if len(active) == left || len(active) == 0 {
-			return Result{Outcome: mech.Outcome{Shares: map[int]float64{}}}
+			return Result{}, false
 		}
 	}
 }
 
-// Attempt runs one full pass of the greedy with the agents in active, a
+// attempt runs one full pass of the greedy with the agents in active, a
 // sorted subset of Agents(), as the paying terminals. It returns
 // ok=false with the sorted agents to drop when some spider is
 // unaffordable, and ok=false with none when the terminals cannot be
-// connected. A pass depends only on active and on the reports of its
-// members, so a caller that drops agents for reasons of its own (the
-// wireless mechanism's step (c)) restarts with Attempt on the survivors.
-func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) {
+// connected.
+func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) {
 	terms := slices.Concat(m.freeTerms, active)
 	free := make([]bool, len(terms))
 	for i := range m.freeTerms {
@@ -144,30 +153,23 @@ func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) 
 	// exactly what a fresh run would compute (profile-independence, see
 	// nwst.TrajectoryMemo), so replaying them skips the oracle without
 	// perturbing a single byte.
-	var memoKey string
-	var steps []nwst.TrajectoryStep
-	if m.memo != nil {
-		memoKey = nwst.TrajectoryKey(terms, free)
-		steps = m.memo.Lookup(memoKey)
-	}
+	memoKey := nwst.TrajectoryKey(terms, free)
+	steps := m.memo.Lookup(memoKey)
 
 	// Flat per-run scratch off the pooled state: shares and chosen are
-	// indexed by original vertex id, vt (Eq. 5) by contracted vertex id.
+	// indexed by original vertex id, vt (Eq. 5) by vertex id. An original
+	// paying terminal's utility is its report, and its constituents are
+	// itself, with no share until the spider that covers it, so one
+	// residual rule, vt minus the constituents' shares, prices original
+	// and contracted terminals alike.
 	ws := st.Workspace()
 	ws.Reset(st.N0())
 	shares, vt, chosen := ws.Shares, ws.VT, ws.Chosen
 	for _, t := range terms {
 		chosen[t] = true
 	}
-	// value returns the utility bound of a live covered terminal.
-	value := func(t int) float64 {
-		if st.IsFree(t) {
-			return math.Inf(1)
-		}
-		if t < st.N0() {
-			return u[t]
-		}
-		return vt[t]
+	for _, t := range active {
+		vt[t] = u[t]
 	}
 	sumShares := func(t int) float64 {
 		var s float64
@@ -179,18 +181,12 @@ func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) 
 	accept := func(sp nwst.Spider) ([]int, bool) {
 		var drop []int
 		for _, t := range sp.Terms {
-			if st.IsFree(t) {
-				continue
-			}
-			if value(t) >= sp.Ratio-eps {
+			if st.IsFree(t) || vt[t] >= sp.Ratio-eps {
 				continue
 			}
 			// Terminal t cannot pay; mark the constituents below the
 			// per-member threshold ratio/|N⁺_t| for removal.
 			cons := st.Constituents(t)
-			if t < st.N0() {
-				cons = []int{t}
-			}
 			thr := sp.Ratio / float64(len(cons))
 			worst, worstResid := -1, math.Inf(1)
 			for _, x := range cons {
@@ -217,10 +213,6 @@ func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) 
 			if st.IsFree(t) {
 				continue
 			}
-			if t < st.N0() {
-				shares[t] = sp.Ratio
-				continue
-			}
 			cons := st.Constituents(t)
 			slice := sp.Ratio / float64(len(cons))
 			for _, x := range cons {
@@ -243,13 +235,7 @@ func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) 
 				continue
 			}
 			paying++
-			var resid float64
-			if t < st.N0() {
-				resid = u[t] - shares[t]
-			} else {
-				resid = vt[t] - sumShares(t)
-			}
-			if resid < minResid {
+			if resid := vt[t] - sumShares(t); resid < minResid {
 				minResid = resid
 			}
 		}
@@ -284,11 +270,11 @@ func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) 
 			if len(live) == 2 {
 				path, cost := st.PathBetween(live[0], live[1])
 				if math.IsInf(cost, 1) {
-					m.publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepFail})
+					m.memo.Publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepFail})
 					return Result{}, nil, false // disconnected: give up
 				}
 				sp = spiderFromPath(st, path)
-				m.publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepPath, Spider: sp})
+				m.memo.Publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepPath, Spider: sp})
 			} else {
 				minCover := len(st.PayingTerminals())
 				if minCover > 3 {
@@ -297,10 +283,10 @@ func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) 
 				var ok bool
 				sp, ok = m.oracle(st, minCover)
 				if !ok {
-					m.publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepFail})
+					m.memo.Publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepFail})
 					return Result{}, nil, false
 				}
-				m.publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepSpider, Spider: sp})
+				m.memo.Publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepSpider, Spider: sp})
 			}
 		}
 		drop, ok := accept(sp)
@@ -340,13 +326,6 @@ func (m *Mechanism) Attempt(u mech.Profile, active []int) (Result, []int, bool) 
 		Outcome: mech.Outcome{Receivers: receivers, Shares: sharesOut, Cost: cost},
 		Nodes:   nodes,
 	}, nil, true
-}
-
-// publish records one trajectory step when memoization is on.
-func (m *Mechanism) publish(key string, idx int, step nwst.TrajectoryStep) {
-	if m.memo != nil {
-		m.memo.Publish(key, idx, step)
-	}
 }
 
 // spiderFromPath builds the final "connect the last two terminals

@@ -3,6 +3,7 @@ package nwstmech
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wmcs/internal/graph"
@@ -271,5 +272,85 @@ func TestFreeSourceNeverCharged(t *testing.T) {
 	}
 	if err := mech.CheckNPT(o); err != nil {
 		t.Error(err)
+	}
+}
+
+// sameResult reports bitwise equality of receivers, shares, cost and
+// chosen nodes.
+func sameResult(a, b Result) bool {
+	if !slices.Equal(a.Outcome.Receivers, b.Outcome.Receivers) ||
+		!slices.Equal(a.Nodes, b.Nodes) ||
+		math.Float64bits(a.Outcome.Cost) != math.Float64bits(b.Outcome.Cost) ||
+		len(a.Outcome.Shares) != len(b.Outcome.Shares) {
+		return false
+	}
+	for r, s := range a.Outcome.Shares {
+		if t, ok := b.Outcome.Shares[r]; !ok || math.Float64bits(s) != math.Float64bits(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemoReplaysMatchFreshRuns runs one mechanism through a sequence of
+// profiles, each followed by the deviations mech.CheckStrategyproof
+// probes, so its drop loop revisits terminal sets and replays the
+// trajectories recorded for them. Every result must equal, bit for bit,
+// a fresh mechanism's for the same profile: a fresh mechanism's one run
+// replays nothing, since each pass's active set is strictly smaller than
+// the last and no memo key repeats.
+func TestMemoReplaysMatchFreshRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	oracles := []struct {
+		name string
+		o    nwst.Oracle
+	}{{"kr", nwst.KleinRaviOracle}, {"branch", nwst.BranchSpiderOracle}}
+	runs, dropped := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		plain := randomNWST(rng, 9+rng.Intn(4), 4+rng.Intn(2))
+		withSource := plain
+		withSource.Free = make([]bool, len(plain.Terminals))
+		withSource.Free[0] = true
+		for _, in := range []nwst.Instance{plain, withSource} {
+			for _, oracle := range oracles {
+				m := New(in, oracle.o)
+				for p := 0; p < 3; p++ {
+					truth := mech.RandomProfile(rng, in.G.N(), 6)
+					probes := []mech.Profile{truth}
+					for _, i := range m.Agents() {
+						for _, f := range mech.DefaultDeviationFactors {
+							v := truth.Clone()
+							if v[i] = truth[i] * f; v[i] != truth[i] {
+								probes = append(probes, v)
+							}
+						}
+					}
+					for k, u := range probes {
+						got, want := m.RunDetailed(u), New(in, oracle.o).RunDetailed(u)
+						if !sameResult(got, want) {
+							t.Fatalf("trial %d %s free=%v profile %d probe %d: replaying mechanism diverges from a fresh one\ngot:  %+v\nwant: %+v",
+								trial, oracle.name, in.Free != nil, p, k, got, want)
+						}
+						runs++
+						if len(got.Outcome.Receivers) < len(m.agents) {
+							dropped++
+						}
+					}
+				}
+				// Every run starts from the full agent set, so once its
+				// trajectory is recorded each later run replays its first
+				// pass.
+				free := make([]bool, len(m.freeTerms)+len(m.agents))
+				for i := range m.freeTerms {
+					free[i] = true
+				}
+				if len(m.memo.Lookup(nwst.TrajectoryKey(slices.Concat(m.freeTerms, m.agents), free))) == 0 {
+					t.Fatalf("trial %d %s free=%v: the full agent set's trajectory was never recorded", trial, oracle.name, in.Free != nil)
+				}
+			}
+		}
+	}
+	if dropped == 0 || dropped == runs {
+		t.Fatalf("%d of %d runs dropped an agent: the sweep must cover drops and full service", dropped, runs)
 	}
 }

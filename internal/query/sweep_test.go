@@ -17,9 +17,9 @@ import (
 // family, probed at several receiver-set sizes, must answer
 // bit-identically (a) at engine widths 1 and 8, (b) on a memo-warm
 // evaluator replaying queries it has already seen, (c) against a fresh
-// evaluator with cold substrates, (d) for wireless-bb, against the seed
-// evaluation path itself — a mechanism with trajectory memoization
-// disabled — and (e) across a VersionedEvaluator.Update, where the new
+// evaluator with cold substrates, (d) for wireless-bb, against a fresh
+// mechanism per request, whose one run replays no recorded trajectory,
+// and (e) across a VersionedEvaluator.Update, where the new
 // generation must match a from-scratch build of the updated network
 // (i.e. the retired generation's memo must not leak forward).
 
@@ -125,10 +125,10 @@ func TestRegistryScenarioDifferentialSweep(t *testing.T) {
 			fresh := NewEvaluator(ve.Network()).EvaluateBatch(reqs, 1)
 			check("fresh evaluator", serial, fresh)
 
-			// (d) the seed path: wireless-bb with trajectory memoization
-			// off entirely, run outside any evaluator.
-			seed := wmech.New(ve.Network(), nil)
-			seed.DisableMemo()
+			// (d) wireless-bb on a fresh mechanism per request, outside
+			// any evaluator: within one run each pass's active set is
+			// strictly smaller than the last, so no memo key repeats and
+			// the run replays nothing.
 			for i, r := range reqs {
 				if r.Mech != mechreg.WirelessBB {
 					continue
@@ -136,8 +136,8 @@ func TestRegistryScenarioDifferentialSweep(t *testing.T) {
 				if serial[i].Err != nil {
 					t.Fatalf("wireless-bb req %d failed: %v", i, serial[i].Err)
 				}
-				if got := seed.Run(restrict(r.Profile, r.R)); !sameOutcome(serial[i].Outcome, got) {
-					t.Fatalf("memoized wireless-bb diverges from the memo-off seed path (req %d, |R|=%d)\nmemo: %+v\nseed: %+v",
+				if got := wmech.New(ve.Network(), nil).Run(restrict(r.Profile, r.R)); !sameOutcome(serial[i].Outcome, got) {
+					t.Fatalf("memoized wireless-bb diverges from a fresh mechanism (req %d, |R|=%d)\nmemo:  %+v\nfresh: %+v",
 						i, len(r.R), serial[i].Outcome, got)
 				}
 			}

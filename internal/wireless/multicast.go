@@ -1,6 +1,6 @@
 package wireless
 
-import "wmcs/internal/mst"
+import "wmcs/internal/paths"
 
 // SPTMulticast builds a multicast tree from the shortest-path tree of the
 // cost graph pruned to the receivers — the Penna–Ventre [43] universal
@@ -8,39 +8,8 @@ import "wmcs/internal/mst"
 // baseline: good when receivers are scattered, weak when relaying could
 // share power.
 func SPTMulticast(nw *Network, R []int) (Tree, Assignment) {
-	n := nw.N()
-	dist := make([]float64, n)
-	parent := make([]int, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = 1e308
-		parent[i] = -1
-	}
-	dist[nw.Source()] = 0
-	for it := 0; it < n; it++ {
-		u, best := -1, 1e308
-		for v := 0; v < n; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 {
-			break
-		}
-		done[u] = true
-		for v := 0; v < n; v++ {
-			if !done[v] {
-				if nd := best + nw.C(u, v); nd < dist[v] {
-					dist[v] = nd
-					parent[v] = u
-				}
-			}
-		}
-	}
-	t := NewTree(n, nw.Source())
-	copy(t.Parent, parent)
-	t.Parent[nw.Source()] = -1
-	t = PruneTree(t, R)
+	spt := paths.DijkstraMatrix(nw.CostMatrix(), nw.Source())
+	t := PruneTree(Tree{Root: nw.Source(), Parent: spt.Parent}, R)
 	return t, nw.AssignmentForTree(t)
 }
 
@@ -56,8 +25,7 @@ func BIPMulticast(nw *Network, R []int) (Tree, Assignment) {
 // MSTMulticast prunes the MST broadcast tree to the receivers, the
 // multicast analogue of the MST heuristic.
 func MSTMulticast(nw *Network, R []int) (Tree, Assignment) {
-	edges := mst.PrimMatrix(nw.CostMatrix(), nw.Source())
-	t := TreeFromUndirectedEdges(nw.N(), edges, nw.Source())
+	t, _ := MSTBroadcast(nw)
 	t = PruneTree(t, R)
 	return t, nw.AssignmentForTree(t)
 }

@@ -1,13 +1,14 @@
 // Package wmech implements the §2.2.3 cost-sharing mechanism for
 // multicast transmissions in general symmetric wireless networks: reduce
 // to node-weighted Steiner tree via the Caragiannis et al. construction
-// (internal/memtred), run one attempt of the §2.2.2 NWST mechanism
-// (internal/nwstmech) with the source's input node as a free terminal,
-// extract the directed multicast tree by BFS orientation, and then charge
-// the orientation's extra powers to the downstream receivers (step (c)).
-// Whoever cannot pay, in the attempt or in step (c), drops, and the loop
-// repeats on the survivors: RunDetailed is the only restart loop, the
-// paper's "while R′ ≠ R(v)". With a β(k)-approximate spider
+// (internal/memtred), run the §2.2.2 NWST mechanism (internal/nwstmech)
+// with the source's input node as a free terminal, extract the directed
+// multicast tree by BFS orientation, and then charge the orientation's
+// extra powers to the downstream receivers (step (c)). Whoever cannot
+// pay, in the NWST pass or in step (c), drops, and the loop repeats on
+// the survivors. The NWST mechanism's DropLoop owns that loop, the
+// paper's "while R′ ≠ R(v)"; step (c) is the finish step this package
+// hands it. With a β(k)-approximate spider
 // oracle the mechanism is 2β(k)-BB — 3 ln(k+1) for the paper's 1.5 ln k
 // oracle — strategyproof, and meets NPT, VP and CS; like its NWST core it
 // is not group strategyproof.
@@ -34,9 +35,8 @@ import (
 // read-only after New and the NWST mechanism draws its contraction
 // states from a mutex-guarded pool.
 type Mechanism struct {
-	Net    *wireless.Network
-	rd     *memtred.Reduction
-	oracle nwst.Oracle
+	Net *wireless.Network
+	rd  *memtred.Reduction
 	// inner is the NWST mechanism over every receiver's input node. Its
 	// trajectory memo lets repeated runs (deviation probes, repeat
 	// queries) replay spider sequences instead of re-running the oracle,
@@ -58,22 +58,13 @@ func New(nw *wireless.Network, oracle nwst.Oracle) *Mechanism {
 // NewFromReduction builds the mechanism on an already-computed reduction,
 // so callers holding one per network (e.g. the query evaluator) share it
 // across mechanism variants instead of rebuilding the H graph. It builds
-// the memoized NWST mechanism over every receiver once.
+// the NWST mechanism over every receiver once.
 func NewFromReduction(rd *memtred.Reduction, oracle nwst.Oracle) *Mechanism {
 	return &Mechanism{
-		Net:    rd.Net,
-		rd:     rd,
-		oracle: oracle,
-		inner:  nwstmech.NewMemoized(rd.Instance(rd.Net.AllReceivers()), oracle),
+		Net:   rd.Net,
+		rd:    rd,
+		inner: nwstmech.New(rd.Instance(rd.Net.AllReceivers()), oracle),
 	}
-}
-
-// DisableMemo rebuilds the NWST mechanism without a trajectory memo:
-// every attempt then recomputes its full spider sequence. This is the
-// seed evaluation path, kept reachable so the differential tests can pin
-// memoized runs byte-identical against it.
-func (m *Mechanism) DisableMemo() {
-	m.inner = nwstmech.New(m.rd.Instance(m.Net.AllReceivers()), m.oracle)
 }
 
 // Name implements mech.Mechanism.
@@ -94,34 +85,22 @@ type Result struct {
 // Run implements mech.Mechanism.
 func (m *Mechanism) Run(u mech.Profile) mech.Outcome { return m.RunDetailed(u).Outcome }
 
-// RunDetailed executes the paper's "while R′ ≠ R(v)" loop: one NWST
-// attempt on the active receivers, then, if it succeeds, the BFS
-// orientation and the step (c) surcharges. Whoever either step drops
-// leaves the active set and the loop repeats on the survivors.
+// RunDetailed executes the paper's "while R′ ≠ R(v)" loop: the NWST
+// mechanism's drop loop over the receivers' input nodes, with the BFS
+// orientation and the step (c) surcharges as its finish step.
 func (m *Mechanism) RunDetailed(u mech.Profile) Result {
-	// The active receivers are kept as their input nodes, the NWST
-	// agents; each input node inherits its station's report.
-	active := m.inner.Agents()
+	// Each input node inherits its station's report; the source's is a
+	// free terminal and never read.
 	uh := make(mech.Profile, m.rd.G.N())
-	for _, v := range active {
-		uh[v] = u[m.rd.Station(v)]
+	for r, v := range m.rd.In {
+		uh[v] = u[r]
 	}
-	for len(active) > 0 {
-		det, drop, ok := m.inner.Attempt(uh, active)
-		if ok {
-			var res Result
-			if res, drop, ok = m.surcharge(u, det); ok {
-				return res
-			}
-		}
-		left := len(active)
-		active = slices.DeleteFunc(active, func(v int) bool {
-			_, found := slices.BinarySearch(drop, v)
-			return found
-		})
-		if len(active) == left {
-			break // a dead end: the same attempt would fail again
-		}
+	var res Result
+	if _, ok := m.inner.DropLoop(uh, func(det nwstmech.Result) (drop []int) {
+		res, drop = m.surcharge(u, det)
+		return drop
+	}); ok {
+		return res
 	}
 	return Result{
 		Outcome:    mech.Outcome{Shares: map[int]float64{}},
@@ -129,10 +108,11 @@ func (m *Mechanism) RunDetailed(u mech.Profile) Result {
 	}
 }
 
-// surcharge realizes a successful NWST attempt as a multicast tree and
-// applies step (c). It returns ok=false with the sorted input nodes of
-// the receivers who cannot afford their surcharge.
-func (m *Mechanism) surcharge(u mech.Profile, det nwstmech.Result) (Result, []int, bool) {
+// surcharge realizes an NWST pass whose spiders were all affordable as a
+// multicast tree and applies step (c). It returns the sorted input nodes
+// of the receivers who cannot afford their surcharge, none when every
+// surcharge is paid.
+func (m *Mechanism) surcharge(u mech.Profile, det nwstmech.Result) (Result, []int) {
 	served := make([]int, 0, len(det.Outcome.Receivers))
 	shares := make(map[int]float64, len(det.Outcome.Receivers))
 	for _, t := range det.Outcome.Receivers {
@@ -164,7 +144,7 @@ func (m *Mechanism) surcharge(u mech.Profile, det nwstmech.Result) (Result, []in
 		}
 		if len(drop) > 0 {
 			slices.Sort(drop)
-			return Result{}, drop, false
+			return Result{}, drop
 		}
 		for _, xj := range ni {
 			shares[xj] += slice
@@ -177,7 +157,7 @@ func (m *Mechanism) surcharge(u mech.Profile, det nwstmech.Result) (Result, []in
 			Cost:      ex.Pi.Total(),
 		},
 		Assignment: ex.Pi,
-	}, nil, true
+	}, nil
 }
 
 // BetaBound returns the nominal budget-balance guarantee 3·ln(k+1) for k

@@ -224,10 +224,11 @@ func sameResult(a, b Result) bool {
 
 // TestRunDetailedMatchesNestedLoop pins the one restart loop bitwise to
 // the nested loop it replaced, over seeded uniform-workload queries
-// folded into R the way serving folds them, on both spider oracles, with
-// the trajectory memo on and off. One mechanism per configuration
-// serves every query of its network, so memo replays across queries are
-// covered too.
+// folded into R the way serving folds them, on both spider oracles. One
+// mechanism per configuration serves every query of its network, so memo
+// replays across queries are covered; a fresh mechanism per query
+// replays nothing, since within one run each pass's active set is
+// strictly smaller than the last and no memo key repeats.
 func TestRunDetailedMatchesNestedLoop(t *testing.T) {
 	uniform, err := instances.WorkloadByName("uniform")
 	if err != nil {
@@ -256,15 +257,13 @@ func TestRunDetailedMatchesNestedLoop(t *testing.T) {
 				o    nwst.Oracle
 			}{{"branch", nwst.BranchSpiderOracle}, {"klein-ravi", nwst.KleinRaviOracle}} {
 				memo := NewFromReduction(rd, oracle.o)
-				plain := NewFromReduction(rd, oracle.o)
-				plain.DisableMemo()
 				for i, u := range profiles {
 					want, s := refRunDetailed(rd, oracle.o, u)
 					surcharged += s
 					for _, m := range []struct {
 						name string
 						m    *Mechanism
-					}{{"memo", memo}, {"no memo", plain}} {
+					}{{"memo", memo}, {"fresh", NewFromReduction(rd, oracle.o)}} {
 						if got := m.m.RunDetailed(u); !sameResult(got, want) {
 							t.Fatalf("%s n=%d %s %s profile %d: RunDetailed diverges from the nested loop\ngot:  %+v\nwant: %+v",
 								scenario, n, oracle.name, m.name, i, got, want)
