@@ -470,6 +470,45 @@ func BenchmarkWirelessBBFreshQueries(b *testing.B) {
 	}
 }
 
+// BenchmarkSampledShapley is the sampled Shapley tier on cold-compute's
+// two sampled classes of the serving benchmark: universal-shapley on a
+// uniform n = 32 network and line-shapley on a line n = 32 network, each
+// answering one seeded uniform-workload query through a warm Evaluator
+// at cold-compute's spec (1024 samples, δ = 0.05, seed 1).
+func BenchmarkSampledShapley(b *testing.B) {
+	spec := mech.ApproxSpec{Samples: 1024, Delta: 0.05, Seed: 1}
+	for _, c := range []struct {
+		mech string
+		sp   instances.Spec
+	}{
+		{mechreg.UniversalShapley, instances.Spec{Name: "uni32", Scenario: "uniform", N: 32, Alpha: 2, Seed: 13}},
+		{mechreg.LineShapley, instances.Spec{Name: "line32", Scenario: "line", N: 32, Alpha: 2, Seed: 14}},
+	} {
+		b.Run(c.mech, func(b *testing.B) {
+			nw, err := c.sp.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			uniform, err := instances.WorkloadByName("uniform")
+			if err != nil {
+				b.Fatal(err)
+			}
+			q := uniform.New(rand.New(rand.NewSource(7)), nw, instances.WorkloadOptions{}).Next()
+			ev := query.NewEvaluator(nw)
+			if _, err := ev.Mechanism(c.mech); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ev.EvaluateApprox(c.mech, q.R, q.U, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkDreyfusWagner(b *testing.B) {
 	p := instances.Pentagon(6, 2)
 	terms := append([]int{p.Source}, p.Externals...)

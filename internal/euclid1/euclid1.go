@@ -53,6 +53,18 @@ func (g *AirportGame) Cost(R []int) float64 {
 	return m
 }
 
+// Prefixes implements sharing.PrefixCost for Cost: out[i] is the
+// running maximum of c(s, r) over order[:i+1], the maximum Cost takes.
+func (g *AirportGame) Prefixes(order []int, out []float64) {
+	var m float64
+	for i, r := range order {
+		if c := g.Net.C(g.Net.Source(), r); c > m {
+			m = c
+		}
+		out[i] = m
+	}
+}
+
 // Shapley returns the airport-game Shapley shares in closed form: sort
 // receivers by distance; the i-th cost increment is split equally among
 // the receivers at least as far.
@@ -89,6 +101,7 @@ func (g *AirportGame) ShapleyMechanism() mech.Mechanism {
 		AgentSet: g.Net.AllReceivers(),
 		Xi:       sharing.MethodFunc(func(R []int) map[int]float64 { return g.Shapley(R) }),
 		Cost:     g.Cost,
+		Prefixes: g.Prefixes,
 	}
 }
 
@@ -170,6 +183,17 @@ func (g *LineGame) CostExtremes(f, l int) float64 {
 // Cost returns C*(R), which depends only on the extreme ranks of R ∪ {s}.
 func (g *LineGame) Cost(R []int) float64 {
 	return g.CostExtremes(g.lay.Span(R))
+}
+
+// Prefixes implements sharing.PrefixCost for Cost: it keeps the running
+// extreme ranks of order[:i+1] ∪ {s}, starting from (K, K), and prices
+// each prefix with CostExtremes, as Cost does after Span.
+func (g *LineGame) Prefixes(order []int, out []float64) {
+	f, l := g.lay.K, g.lay.K
+	for i, r := range order {
+		f, l = min(f, g.lay.Rank[r]), max(l, g.lay.Rank[r])
+		out[i] = g.CostExtremes(f, l)
+	}
 }
 
 // Shapley evaluates the exact Shapley value of the interval game by
@@ -255,6 +279,7 @@ func (g *LineGame) ShapleyMechanism() mech.Mechanism {
 		AgentSet: g.Net.AllReceivers(),
 		Xi:       sharing.MethodFunc(func(R []int) map[int]float64 { return g.Shapley(R) }),
 		Cost:     g.Cost,
+		Prefixes: g.Prefixes,
 	}
 }
 

@@ -2,11 +2,14 @@ package euclid1
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wmcs/internal/geom"
+	"wmcs/internal/instances"
 	"wmcs/internal/mech"
 	"wmcs/internal/sharing"
 	"wmcs/internal/wireless"
@@ -329,6 +332,108 @@ func TestLineCostMonotone(t *testing.T) {
 		}
 		if g.Cost(Q) > g.Cost(R)+1e-9 {
 			t.Fatalf("monotonicity violated: C(%v)=%g > C(%v)=%g", Q, g.Cost(Q), R, g.Cost(R))
+		}
+	}
+}
+
+// checkPrefixBits requires a game's one-pass prefix walk to price every
+// prefix of random orders over all n stations (random subsets, the
+// source included at times, and full orders) with the bits of cost on
+// the sorted prefix.
+func checkPrefixBits(t *testing.T, name string, n int, prefixes sharing.PrefixCost, cost sharing.CostFunc, rng *rand.Rand) {
+	t.Helper()
+	out := make([]float64, n)
+	for trial := 0; trial < 25; trial++ {
+		order := rng.Perm(n)
+		if trial < 20 {
+			order = order[:1+rng.Intn(n)]
+		}
+		prefixes(order, out)
+		for i := range order {
+			R := slices.Sorted(slices.Values(order[:i+1]))
+			if want := cost(R); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: Prefixes(%v)[%d] = %x, Cost(%v) = %x", name, order, i, out[i], R, want)
+			}
+		}
+	}
+}
+
+// TestLinePrefixesMatchCost: the line game's running-extremes walk
+// prices each prefix with Cost's bits on line networks at n = 8, 12 and
+// 32 and α = 1 and 2, and on a line with a disabled station, where both
+// share ROADMAP item 9's geometric pricing: a fix must change the two
+// together.
+func TestLinePrefixesMatchCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, alpha := range []float64{1, 2} {
+		for _, n := range []int{8, 12, 32} {
+			nw, err := instances.Spec{Scenario: "line", N: n, Alpha: alpha, Seed: int64(n)}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := NewLineGame(nw)
+			checkPrefixBits(t, fmt.Sprintf("line α=%g n=%d", alpha, n), n, g.Prefixes, g.Cost, rng)
+		}
+	}
+	nw := lineNetRandom(rng, 12, 2)
+	dead := (nw.Source() + 1) % nw.N()
+	if _, err := nw.SetStationEnabled(dead, false); err != nil {
+		t.Fatal(err)
+	}
+	g := NewLineGame(nw)
+	checkPrefixBits(t, "line with a disabled station", nw.N(), g.Prefixes, g.Cost, rng)
+}
+
+// TestAirportPrefixesMatchCost: the airport game's running-maximum walk
+// prices each prefix with Cost's bits on every Euclidean scenario at
+// α = 1 and n = 8, 12 and 32.
+func TestAirportPrefixesMatchCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for si, sc := range instances.Scenarios() {
+		if !sc.Euclidean {
+			continue
+		}
+		for _, n := range []int{8, 12, 32} {
+			nw, err := instances.Spec{Scenario: sc.Name, N: n, Alpha: 1, Seed: int64(100*si + n)}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := NewAirportGame(nw)
+			checkPrefixBits(t, fmt.Sprintf("%s n=%d", sc.Name, n), n, g.Prefixes, g.Cost, rng)
+		}
+	}
+}
+
+// TestRunApproxAllocsIndependentOfSamples: both games' sampled tiers
+// walk each permutation without allocating, so a RunApprox that serves
+// everyone in one Moulin–Shenker round allocates the same at 64 and at
+// 512 samples.
+func TestRunApproxAllocsIndependentOfSamples(t *testing.T) {
+	build := func(sp instances.Spec) *wireless.Network {
+		nw, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	line := build(instances.Spec{Scenario: "line", N: 32, Alpha: 2, Seed: 1})
+	plane := build(instances.Spec{Scenario: "uniform", N: 32, Alpha: 1, Seed: 1})
+	for name, m := range map[string]mech.Mechanism{
+		"line":    NewLineGame(line).ShapleyMechanism(),
+		"airport": NewAirportGame(plane).ShapleyMechanism(),
+	} {
+		ar := m.(mech.ApproxRunner)
+		u := mech.UniformProfile(32, 1e9)
+		allocs := func(samples int) float64 {
+			spec := mech.ApproxSpec{Samples: samples, Delta: 0.05, Seed: 1}
+			return testing.AllocsPerRun(5, func() {
+				if _, _, err := ar.RunApprox(u, spec); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, many := allocs(64), allocs(512); few != many {
+			t.Fatalf("%s: RunApprox allocates %v at 64 samples and %v at 512", name, few, many)
 		}
 	}
 }

@@ -306,6 +306,27 @@ func (s *State) LiveTerminals() []int {
 	return out
 }
 
+// TerminalCounts returns the number of live terminals and of live paying
+// terminals, and the first two live terminals in increasing order (−1
+// where fewer are live). It allocates nothing, so a greedy step can
+// count its terminals without listing them.
+func (s *State) TerminalCounts() (live, paying int, first [2]int) {
+	first = [2]int{-1, -1}
+	for v := 0; v < s.g.N(); v++ {
+		if !s.alive[v] || !s.isTerm[v] {
+			continue
+		}
+		if live < 2 {
+			first[live] = v
+		}
+		live++
+		if !s.free[v] {
+			paying++
+		}
+	}
+	return live, paying, first
+}
+
 // PayingTerminals returns live terminals that share costs.
 func (s *State) PayingTerminals() []int {
 	var out []int
@@ -583,19 +604,19 @@ func Solve(in Instance, oracle Oracle) (Solution, bool) {
 		chosen[t] = true
 	}
 	for {
-		live := s.LiveTerminals()
-		if len(live) <= 1 {
+		live, paying, first := s.TerminalCounts()
+		if live <= 1 {
 			break
 		}
-		if len(live) == 2 {
-			path, cost := s.PathBetween(live[0], live[1])
+		if live == 2 {
+			path, cost := s.PathBetween(first[0], first[1])
 			if math.IsInf(cost, 1) {
 				return Solution{}, false
 			}
 			record(path)
 			break
 		}
-		sp, ok := oracle(s, min(3, len(s.PayingTerminals())))
+		sp, ok := oracle(s, min(3, paying))
 		if !ok {
 			return Solution{}, false
 		}

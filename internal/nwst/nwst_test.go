@@ -277,3 +277,40 @@ func TestSolveDisconnected(t *testing.T) {
 		t.Error("disconnected terminals should fail")
 	}
 }
+
+// TestTerminalCountsMatchLists: at every step of greedy runs, with and
+// without a free source, TerminalCounts reports the lengths of
+// LiveTerminals and PayingTerminals and the first two live terminals in
+// the list's order (the order PathBetween is called in), and it
+// allocates nothing.
+func TestTerminalCountsMatchLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 40; trial++ {
+		in := randomInstance(rng, 8+rng.Intn(20), 2+rng.Intn(6))
+		if trial%2 == 1 {
+			in = withFreeSource(in)
+		}
+		st := NewState(in)
+		for {
+			live, paying, first := st.TerminalCounts()
+			list := st.LiveTerminals()
+			want := [2]int{-1, -1}
+			copy(want[:], list)
+			if live != len(list) || paying != len(st.PayingTerminals()) || first != want {
+				t.Fatalf("trial %d: TerminalCounts = %d, %d, %v; lists %v and %v",
+					trial, live, paying, first, list, st.PayingTerminals())
+			}
+			if got := testing.AllocsPerRun(5, func() { st.TerminalCounts() }); got != 0 {
+				t.Fatalf("trial %d: TerminalCounts allocates %v", trial, got)
+			}
+			if live <= 2 {
+				break
+			}
+			sp, ok := BranchSpiderOracle(st, min(3, paying))
+			if !ok {
+				break
+			}
+			st.Shrink(sp)
+		}
+	}
+}

@@ -246,12 +246,12 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 	}
 
 	for stepIdx := 0; ; stepIdx++ {
-		live := st.LiveTerminals()
-		if len(live) <= 1 {
+		live, paying, first := st.TerminalCounts()
+		if live <= 1 {
 			break
 		}
 		expect := nwst.StepSpider
-		if len(live) == 2 {
+		if live == 2 {
 			expect = nwst.StepPath
 		}
 		var sp nwst.Spider
@@ -267,8 +267,8 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 			}
 		}
 		if !replayed {
-			if len(live) == 2 {
-				path, cost := st.PathBetween(live[0], live[1])
+			if live == 2 {
+				path, cost := st.PathBetween(first[0], first[1])
 				if math.IsInf(cost, 1) {
 					m.memo.Publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepFail})
 					return Result{}, nil, false // disconnected: give up
@@ -276,12 +276,8 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 				sp = spiderFromPath(st, path)
 				m.memo.Publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepPath, Spider: sp})
 			} else {
-				minCover := len(st.PayingTerminals())
-				if minCover > 3 {
-					minCover = 3
-				}
 				var ok bool
-				sp, ok = m.oracle(st, minCover)
+				sp, ok = m.oracle(st, min(paying, 3))
 				if !ok {
 					m.memo.Publish(memoKey, stepIdx, nwst.TrajectoryStep{Kind: nwst.StepFail})
 					return Result{}, nil, false
@@ -302,7 +298,7 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 		ws.Grow(nv + 1)
 		shares, vt, chosen = ws.Shares, ws.VT, ws.Chosen
 		vt[nv] = newUtility
-		if len(live) == 2 {
+		if live == 2 {
 			break
 		}
 	}

@@ -12,10 +12,36 @@ import (
 // This file implements the approximate Shapley tier: sampled-permutation
 // estimation with an explicit Hoeffding certificate. The exact method
 // (Shapley) enumerates 2^k subsets, which caps the set size at 20. The
-// sampled tier has no cap: the work is m·k oracle calls for m sampled
-// permutations, each priced directly. It keeps no subset-cost memo: at
-// the sizes it serves almost every permutation prefix is a distinct
-// subset, so keying and probing a memo cost more than the calls it saved.
+// sampled tier has no cap: the work is m sampled permutations, each
+// priced in one PrefixCost pass. It keeps no subset-cost memo: at the
+// sizes it serves almost every permutation prefix is a distinct subset,
+// so keying and probing a memo cost more than the calls it saved.
+
+// PrefixCost prices every prefix of an order in one pass: it sets
+// out[i] = C(order[:i+1]) for each i < len(order), len(out) ≥ len(order).
+// order lists distinct agents, and each out[i] must carry the bits C
+// returns for the sorted prefix, so a game whose cost extends along an
+// order (a union of root paths, a running extreme) prices a permutation
+// in one walk instead of one C call per prefix.
+type PrefixCost func(order []int, out []float64)
+
+// sortedPrefixes is the PrefixCost of any cost oracle: it inserts each
+// agent into a sorted prefix and prices the prefix with one cost call.
+// The prefix buffer lives in the closure and is reused across calls, so
+// one adapter must not serve two goroutines at once.
+func sortedPrefixes(cost CostFunc) PrefixCost {
+	var prefix []int
+	return func(order []int, out []float64) {
+		prefix = prefix[:0]
+		for i, a := range order {
+			at := sort.SearchInts(prefix, a)
+			prefix = append(prefix, 0)
+			copy(prefix[at+1:], prefix[at:])
+			prefix[at] = a
+			out[i] = cost(prefix)
+		}
+	}
+}
 
 // ApproxCert is the statistical guarantee attached to a sampled Shapley
 // evaluation: with probability at least 1−Delta, every agent's reported
@@ -44,10 +70,13 @@ type ApproxCert struct {
 // under a canonical key. It implements Method; SharesCert additionally
 // returns the (ε, δ) certificate.
 type SampledShapley struct {
-	cost    CostFunc
-	samples int
-	delta   float64
-	seed    int64
+	cost CostFunc
+	// prefixes, when set, prices each permutation in one pass; nil
+	// prices it through cost, one sorted-prefix call per prefix.
+	prefixes PrefixCost
+	samples  int
+	delta    float64
+	seed     int64
 }
 
 // NewSampledShapley builds the sampled method: m permutation samples per
@@ -86,7 +115,9 @@ func (s *SampledShapley) cert(R []int) ApproxCert {
 }
 
 // Shares implements Method: the estimate alone, without the
-// certificate's oracle calls.
+// certificate's oracle calls. Each permutation is a shuffle of the
+// positions 0..k−1 of R's sorted members, priced prefix by prefix in
+// one pass; agent members[p]'s marginals add up in sums[p].
 func (s *SampledShapley) Shares(R []int) map[int]float64 {
 	k := len(R)
 	if k == 0 {
@@ -94,29 +125,29 @@ func (s *SampledShapley) Shares(R []int) map[int]float64 {
 	}
 	members := append([]int(nil), R...)
 	sort.Ints(members)
+	price := s.prefixes
+	if price == nil {
+		price = sortedPrefixes(s.cost)
+	}
 
 	rng := rand.New(rand.NewSource(s.permSeed(members)))
 	sums := make([]float64, k)
-	perm := make([]int, k)
-	prefix := make([]int, 0, k)
-	idx := make(map[int]int, k)
-	for i, a := range members {
-		idx[a] = i
-	}
+	pos := make([]int, k)
+	order := make([]int, k)
+	costs := make([]float64, k)
 	for t := 0; t < s.samples; t++ {
-		copy(perm, members)
-		rng.Shuffle(k, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		prefix = prefix[:0]
+		for i := range pos {
+			pos[i] = i
+		}
+		rng.Shuffle(k, func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+		for i, p := range pos {
+			order[i] = members[p]
+		}
+		price(order, costs)
 		prev := 0.0
-		for _, a := range perm {
-			// Insert a into the sorted prefix.
-			at := sort.SearchInts(prefix, a)
-			prefix = append(prefix, 0)
-			copy(prefix[at+1:], prefix[at:])
-			prefix[at] = a
-			c := s.cost(prefix)
-			sums[idx[a]] += c - prev
-			prev = c
+		for i, p := range pos {
+			sums[p] += costs[i] - prev
+			prev = costs[i]
 		}
 	}
 	shares := make(map[int]float64, k)

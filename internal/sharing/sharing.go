@@ -222,6 +222,10 @@ type MechanismFromMethod struct {
 	AgentSet []int
 	Xi       Method
 	Cost     CostFunc
+	// Prefixes, when set, is Cost's one-pass prefix pricer (it must
+	// return Cost's bits): RunApprox prices each sampled permutation
+	// with it. Nil prices every prefix with its own Cost call.
+	Prefixes PrefixCost
 }
 
 // Name implements mech.Mechanism.
@@ -292,6 +296,7 @@ func (m *MechanismFromMethod) RunApprox(u mech.Profile, spec mech.ApproxSpec) (m
 	if err != nil {
 		return mech.Outcome{}, mech.ApproxCert{}, err
 	}
+	s.prefixes = m.Prefixes
 	res := MoulinShenker(m.AgentSet, s, u)
 	// The final round's certificate is the one SharesCert(res.Receivers)
 	// returns; it needs only the survivors' singleton costs.

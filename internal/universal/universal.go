@@ -63,54 +63,91 @@ func (ut *Tree) Multicast(R []int) wireless.Tree {
 	return wireless.PruneTree(ut.Span, R)
 }
 
-// costBuf is Cost's scratch: which stations T(R) keeps, and each
-// station's transmit power.
+// costBuf is the scratch of Cost and Prefixes: which stations T(R)
+// keeps, and each station's transmit power.
 type costBuf struct {
 	need []bool
 	pow  []float64
 }
 
-// costBufs pools Cost's scratch across calls and goroutines; the sampled
+// costBufs pools the scratch across calls and goroutines; the sampled
 // Shapley tier prices tens of thousands of subsets per query.
 var costBufs = sync.Pool{New: func() any { return new(costBuf) }}
+
+// reset makes b hold T(∅) over ut's stations: only the source is kept
+// and every power is 0.
+func (ut *Tree) reset(b *costBuf) {
+	n := ut.Net.N()
+	if cap(b.need) < n {
+		b.need, b.pow = make([]bool, n), make([]float64, n)
+	}
+	b.need, b.pow = b.need[:n], b.pow[:n]
+	clear(b.need)
+	clear(b.pow)
+	b.need[ut.Span.Root] = true
+}
+
+// join adds v's root path to the T(R) that b holds. Each station joins
+// at most once, and when it joins it raises its parent's power to their
+// edge's cost; a maximum does not depend on the order the stations
+// join in. It reports whether any power rose.
+func (ut *Tree) join(b *costBuf, v int) bool {
+	span := ut.Span
+	if !span.InTree(v) {
+		return false
+	}
+	rose := false
+	for x := v; x != -1 && !b.need[x]; x = span.Parent[x] {
+		b.need[x] = true
+		if p := span.Parent[x]; p >= 0 {
+			if c := ut.Net.C(p, x); c > b.pow[p] {
+				b.pow[p] = c
+				rose = true
+			}
+		}
+	}
+	return rose
+}
+
+// total sums the powers in station order.
+func (b *costBuf) total() float64 {
+	var total float64
+	for _, p := range b.pow {
+		total += p
+	}
+	return total
+}
 
 // Cost returns C(R), the total power of the assignment induced by T(R).
 // It is the non-decreasing submodular cost function of Lemma 2.1. It
 // computes Net.AssignmentForTree(Multicast(R)).Total() with the same
-// maxima and the same ascending summation, so the bits match, in one
-// dense pass over pooled scratch that allocates nothing.
+// maxima and the same ascending summation, so the bits match, on pooled
+// scratch that allocates nothing.
 func (ut *Tree) Cost(R []int) float64 {
-	n := ut.Net.N()
 	b := costBufs.Get().(*costBuf)
 	defer costBufs.Put(b)
-	if cap(b.need) < n {
-		b.need, b.pow = make([]bool, n), make([]float64, n)
-	}
-	need, pow := b.need[:n], b.pow[:n]
-	clear(need)
-	clear(pow)
-	span := ut.Span
-	need[span.Root] = true
+	ut.reset(b)
 	for _, v := range R {
-		if !span.InTree(v) {
-			continue
-		}
-		for x := v; x != -1 && !need[x]; x = span.Parent[x] {
-			need[x] = true
-		}
+		ut.join(b, v)
 	}
-	for v, p := range span.Parent {
-		if need[v] && v != span.Root && p >= 0 {
-			if c := ut.Net.C(p, v); c > pow[p] {
-				pow[p] = c
-			}
+	return b.total()
+}
+
+// Prefixes implements sharing.PrefixCost for Cost: out[i] =
+// Cost(order[:i+1]). It joins the agents in order and sums after each
+// join the same power array Cost sums, so every prefix carries Cost's
+// bits; a join that raises no power keeps the previous total.
+func (ut *Tree) Prefixes(order []int, out []float64) {
+	b := costBufs.Get().(*costBuf)
+	defer costBufs.Put(b)
+	ut.reset(b)
+	total := 0.0
+	for i, v := range order {
+		if ut.join(b, v) {
+			total = b.total()
 		}
+		out[i] = total
 	}
-	var total float64
-	for _, p := range pow {
-		total += p
-	}
-	return total
 }
 
 // CostFunc adapts Cost to the sharing package's oracle type.
@@ -215,6 +252,7 @@ func ShapleyMechanism(ut *Tree) mech.Mechanism {
 		AgentSet: ut.Net.AllReceivers(),
 		Xi:       ut.ShapleyMethod(),
 		Cost:     ut.CostFunc(),
+		Prefixes: ut.Prefixes,
 	}
 }
 
