@@ -470,6 +470,40 @@ func BenchmarkWirelessBBFreshQueries(b *testing.B) {
 	}
 }
 
+// BenchmarkJVMoatQueries is jv-moat's cache misses at the query layer,
+// on the serving benchmark's cold-compute jv-moat network (cold-uni48).
+// Each iteration answers 16 seeded uniform-workload queries through a
+// warm Evaluator, whose mechanism swept its shortest-path table on the
+// warm-up query, as a served network version sweeps it once.
+func BenchmarkJVMoatQueries(b *testing.B) {
+	nw, err := instances.Spec{Name: "cold-uni48", Scenario: "uniform", N: 48, Alpha: 2, Seed: 15}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	uniform, err := instances.WorkloadByName("uniform")
+	if err != nil {
+		b.Fatal(err)
+	}
+	smp := uniform.New(rand.New(rand.NewSource(7)), nw, instances.WorkloadOptions{})
+	qs := make([]instances.Query, 16)
+	for i := range qs {
+		qs[i] = smp.Next()
+	}
+	ev := query.NewEvaluator(nw)
+	if _, err := ev.Evaluate(mechreg.JVMoat, qs[0].R, qs[0].U); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			if _, err := ev.Evaluate(mechreg.JVMoat, q.R, q.U); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSampledShapley is the sampled Shapley tier on cold-compute's
 // two sampled classes of the serving benchmark: universal-shapley on a
 // uniform n = 32 network and line-shapley on a line n = 32 network, each

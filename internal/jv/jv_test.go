@@ -1,8 +1,10 @@
 package jv
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wmcs/internal/geom"
@@ -186,4 +188,47 @@ func TestTheorem36BoundSmall(t *testing.T) {
 			t.Fatalf("trial %d: shares %g exceed 12×opt %g", trial, o.TotalShares(), opt)
 		}
 	}
+}
+
+// TestWeightsOutsideFamilyPanic: a growth weight must be finite and
+// positive. On the uniform n = 8 network of seed 3, f(a) = a % 3 gives
+// stations 3 and 6 weight 0, and the growth split divides by a zero
+// weight sum, so their shares would be NaN and Moulin–Shenker would
+// drop them silently. NewMechanism and Method call the weights for
+// every receiver and panic, naming the first bad agent and its weight.
+func TestWeightsOutsideFamilyPanic(t *testing.T) {
+	nw, err := instances.Spec{Scenario: "uniform", N: 8, Alpha: 2, Seed: 3}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(name string, build func(), want string) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Errorf("%s: no panic", name)
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q does not name %q", name, msg, want)
+			}
+		}()
+		build()
+	}
+	mod3 := func(a int) float64 { return float64(a % 3) }
+	mustPanic("NewMechanism a%3", func() { NewMechanism(nw, mod3) }, "agent 3 has growth weight 0")
+	mustPanic("Method a%3", func() { Method(nw, mod3) }, "agent 3 has growth weight 0")
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		w := func(a int) float64 {
+			if a == 5 {
+				return bad
+			}
+			return 1
+		}
+		want := fmt.Sprintf("agent 5 has growth weight %v", bad)
+		mustPanic(fmt.Sprintf("NewMechanism f(5)=%v", bad), func() { NewMechanism(nw, w) }, want)
+		mustPanic(fmt.Sprintf("Method f(5)=%v", bad), func() { Method(nw, w) }, want)
+	}
+	// The family's members, uniform included, build.
+	NewMechanism(nw, nil)
+	NewMechanism(nw, func(a int) float64 { return 1 + float64(a%3) })
+	NewMechanism(nw, func(int) float64 { return math.SmallestNonzeroFloat64 })
 }

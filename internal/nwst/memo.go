@@ -46,21 +46,21 @@ type TrajectoryStep struct {
 	Spider Spider
 }
 
-// TrajectoryKey encodes a terminal set with its free flags as a memo
-// key. Callers must present terminals in a deterministic order (the
-// mechanism's: free terminals in instance order, then paying terminals
-// sorted) — the key is positional, which is exactly what makes equal
-// runs collide and unequal runs not.
-func TrajectoryKey(terms []int, free []bool) string {
-	buf := make([]byte, 0, 2*len(terms)+4)
+// AppendTrajectoryKey appends the memo key of a terminal set with its
+// free flags to dst and returns the extended buffer, so a caller can
+// encode every key into one scratch buffer. Callers must present
+// terminals in a deterministic order (the mechanism's: free terminals in
+// instance order, then paying terminals sorted) — the key is positional,
+// which is exactly what makes equal runs collide and unequal runs not.
+func AppendTrajectoryKey(dst []byte, terms []int, free []bool) []byte {
 	for i, t := range terms {
 		v := uint64(t) << 1
 		if free[i] {
 			v |= 1
 		}
-		buf = binary.AppendUvarint(buf, v)
+		dst = binary.AppendUvarint(dst, v)
 	}
-	return string(buf)
+	return dst
 }
 
 // defaultTrajectoryEntries bounds a memo's distinct terminal sets. The
@@ -82,22 +82,30 @@ const defaultTrajectoryEntries = 1 << 14
 // every network delta — builds new mechanisms and with them fresh,
 // empty memos, so no recorded spider can survive a version bump.
 type TrajectoryMemo struct {
-	mu      sync.Mutex
-	entries map[string][]TrajectoryStep
+	mu sync.Mutex
+	// index maps a key to its trajectory in steps. A key's string is
+	// built once, when its first step is recorded; lookups read the map
+	// through the caller's byte slice, which does not allocate, and a
+	// publish appends through the index without storing the key again.
+	index map[string]int
+	steps [][]TrajectoryStep
 }
 
 // NewTrajectoryMemo builds an empty memo.
 func NewTrajectoryMemo() *TrajectoryMemo {
-	return &TrajectoryMemo{entries: make(map[string][]TrajectoryStep)}
+	return &TrajectoryMemo{index: make(map[string]int)}
 }
 
 // Lookup returns the recorded prefix for a key. The returned slice is
 // a stable snapshot: publishers append (never mutate in place), so a
 // reader's view stays valid while the trajectory grows behind it.
-func (m *TrajectoryMemo) Lookup(key string) []TrajectoryStep {
+func (m *TrajectoryMemo) Lookup(key []byte) []TrajectoryStep {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.entries[key]
+	if i, ok := m.index[string(key)]; ok {
+		return m.steps[i]
+	}
+	return nil
 }
 
 // Publish records step idx of a key's trajectory. Only the next
@@ -105,15 +113,20 @@ func (m *TrajectoryMemo) Lookup(key string) []TrajectoryStep {
 // (identically, by determinism) and later ones would leave a hole; a
 // run that computed past another publisher's frontier re-publishes
 // step by step, so the frontier only ever advances by one.
-func (m *TrajectoryMemo) Publish(key string, idx int, step TrajectoryStep) {
+func (m *TrajectoryMemo) Publish(key []byte, idx int, step TrajectoryStep) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	steps, ok := m.entries[key]
-	if !ok && len(m.entries) >= defaultTrajectoryEntries {
-		return
+	i, ok := m.index[string(key)]
+	if !ok {
+		if idx != 0 || len(m.index) >= defaultTrajectoryEntries {
+			return
+		}
+		i = len(m.steps)
+		m.index[string(key)] = i
+		m.steps = append(m.steps, nil)
 	}
-	if len(steps) == idx {
-		m.entries[key] = append(steps, step)
+	if len(m.steps[i]) == idx {
+		m.steps[i] = append(m.steps[i], step)
 	}
 }
 
@@ -121,5 +134,5 @@ func (m *TrajectoryMemo) Publish(key string, idx int, step TrajectoryStep) {
 func (m *TrajectoryMemo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries)
+	return len(m.index)
 }

@@ -16,6 +16,9 @@ type Workspace struct {
 	Shares []float64 // per original-vertex cost shares
 	VT     []float64 // Eq. (5) super-terminal utilities, by vertex id
 	Chosen []bool    // original vertices selected into the solution
+	// Key holds the attempt's trajectory-memo key
+	// (AppendTrajectoryKey); Reset and Grow leave it alone.
+	Key []byte
 }
 
 // Workspace returns the state's mechanism scratch, allocated on first

@@ -152,8 +152,11 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 	// Recorded trajectory for this terminal set, if any: the steps are
 	// exactly what a fresh run would compute (profile-independence, see
 	// nwst.TrajectoryMemo), so replaying them skips the oracle without
-	// perturbing a single byte.
-	memoKey := nwst.TrajectoryKey(terms, free)
+	// perturbing a single byte. The key is encoded into the pooled
+	// state's scratch, so an attempt that replays allocates no key.
+	ws := st.Workspace()
+	ws.Key = nwst.AppendTrajectoryKey(ws.Key[:0], terms, free)
+	memoKey := ws.Key
 	steps := m.memo.Lookup(memoKey)
 
 	// Flat per-run scratch off the pooled state: shares and chosen are
@@ -162,7 +165,6 @@ func (m *Mechanism) attempt(u mech.Profile, active []int) (Result, []int, bool) 
 	// itself, with no share until the spider that covers it, so one
 	// residual rule, vt minus the constituents' shares, prices original
 	// and contracted terminals alike.
-	ws := st.Workspace()
 	ws.Reset(st.N0())
 	shares, vt, chosen := ws.Shares, ws.VT, ws.Chosen
 	for _, t := range terms {

@@ -344,7 +344,7 @@ func TestMemoReplaysMatchFreshRuns(t *testing.T) {
 				for i := range m.freeTerms {
 					free[i] = true
 				}
-				if len(m.memo.Lookup(nwst.TrajectoryKey(slices.Concat(m.freeTerms, m.agents), free))) == 0 {
+				if len(m.memo.Lookup(nwst.AppendTrajectoryKey(nil, slices.Concat(m.freeTerms, m.agents), free))) == 0 {
 					t.Fatalf("trial %d %s free=%v: the full agent set's trajectory was never recorded", trial, oracle.name, in.Free != nil)
 				}
 			}

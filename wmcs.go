@@ -183,7 +183,10 @@ func LineMC(nw *Network) Mechanism {
 // (2(3^d−1)-BB, group strategyproof); weights parameterize the family.
 // nil weights select the uniform member — the registry's jv-moat — and
 // custom weights a non-registry family member (reported under the
-// package-internal "moat" name).
+// package-internal "moat" name). The family needs a finite weight
+// f_i > 0 for every receiver: Moat calls weights for each one and
+// panics, naming the agent and its weight, on a zero, negative, NaN or
+// infinite weight, as it panics on a network outside jv-moat's domain.
 func Moat(nw *Network, weights func(agent int) float64) Mechanism {
 	if weights == nil {
 		return mustBuild(MechJVMoat, nw)

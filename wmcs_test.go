@@ -1,6 +1,7 @@
 package wmcs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -131,6 +132,40 @@ func TestOptimalCostDispatch(t *testing.T) {
 	}
 	if OptimalCost(nw, nil) != 0 {
 		t.Error("empty R should cost 0")
+	}
+}
+
+// TestMoatRejectsBadWeights: a custom moat weight outside the family
+// (finite f_i > 0) panics at construction, naming the agent and its
+// weight, instead of building a mechanism that drops the agent on a NaN
+// share.
+func TestMoatRejectsBadWeights(t *testing.T) {
+	nw, err := Spec{Scenario: "uniform", N: 8, Alpha: 2, Seed: 3}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("agent 4 has growth weight %v", bad)
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("f(4) = %v: recovered %v, want a panic naming %q", bad, r, want)
+				}
+			}()
+			Moat(nw, func(a int) float64 {
+				if a == 4 {
+					return bad
+				}
+				return 2
+			})
+		}()
+	}
+	u := make([]float64, nw.N())
+	for _, a := range nw.AllReceivers() {
+		u[a] = 1e6
+	}
+	if o := Moat(nw, func(a int) float64 { return 1 + float64(a%3) }).Run(u); len(o.Receivers) != nw.N()-1 {
+		t.Errorf("a valid weighted member served %v, want every receiver", o.Receivers)
 	}
 }
 
